@@ -333,8 +333,7 @@ fn deprecated_shim(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                         "deprecated-shim",
                         tok.line,
                         "call to deprecated MemoryController::tick; use \
-                     tick_into with a reused completion buffer, or drive the \
-                     controller through the MemoryEngine trait"
+                     tick_into with a reused completion buffer"
                             .to_owned(),
                     ),
                 );
@@ -691,11 +690,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_module_is_covered_by_hot_path_rules() {
-        // The event-driven memory engine lives in a hot-path,
-        // deterministic crate: both rules must apply to it.
+    fn controller_module_is_covered_by_hot_path_rules() {
+        // The memory controller lives in a hot-path, deterministic crate:
+        // both rules must apply to it.
         let src = "use std::collections::HashMap;\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let rules = rules_of("crates/dram/src/engine.rs", src);
+        let rules = rules_of("crates/dram/src/controller.rs", src);
         assert_eq!(rules, vec!["nondeterminism", "hot-path-panic"]);
     }
 

@@ -112,6 +112,20 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Rejects any option or switch outside `known`, so a misspelled flag
+    /// fails instead of silently falling back to its default.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the first unknown option.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        let mut given = self.options.keys().chain(&self.switches);
+        match given.find(|k| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(key) => Err(ArgError(format!("unknown option --{key}"))),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +181,16 @@ mod tests {
     #[test]
     fn second_positional_is_rejected() {
         assert!(parse("one two").is_err());
+    }
+
+    #[test]
+    fn unknown_options_and_switches_are_rejected() {
+        let a = parse("corun --soc xavier --quick").unwrap();
+        assert!(a.reject_unknown(&["soc", "quick"]).is_ok());
+        let err = a.reject_unknown(&["soc"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --quick");
+        let err = a.reject_unknown(&["quick"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --soc");
     }
 
     #[test]

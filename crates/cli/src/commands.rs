@@ -3,7 +3,6 @@
 use crate::args::{ArgError, Args};
 use pccs_core::{PccsModel, SlowdownModel};
 use pccs_dram::config::DramConfig;
-use pccs_dram::engine::EngineKind;
 use pccs_dram::policy::PolicyKind;
 use pccs_dram::request::SourceId;
 use pccs_dram::sim::DramSystem;
@@ -55,18 +54,6 @@ fn pu_index(soc: &SocConfig, name: &str) -> Result<usize, ArgError> {
 
 fn pu_kind(soc: &SocConfig, pu: usize) -> PuKind {
     soc.pus[pu].kind
-}
-
-/// Parses `--engine {cycle,event}` against a per-command default:
-/// `corun`/`sched` keep the cycle-exact reference (their outputs are the
-/// conformance ground truth), while `serve` and the repro sweeps default
-/// to the event fast path — bit-identical by the parity suite, and the
-/// provenance (manifests, audit records) always names which one ran.
-fn engine_kind(args: &Args, default: EngineKind) -> Result<EngineKind, ArgError> {
-    match args.get("engine") {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(ArgError),
-    }
 }
 
 /// The PU that generates external pressure against `pu`: the CPU, unless
@@ -245,7 +232,6 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
     if epoch == 0 {
         return Err(ArgError("--epoch must be positive".into()));
     }
-    let engine = engine_kind(args, EngineKind::Cycle)?;
     let metrics_out = args.get("metrics-out");
     if metrics_out.is_some() {
         TraceLog::enable();
@@ -253,7 +239,6 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
 
     let mut sim = CoRunSim::new(&soc);
     sim.horizon(horizon);
-    sim.engine(engine);
     if args.has("conformance") {
         sim.check_conformance();
     }
@@ -330,7 +315,6 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
         put("horizon", Value::Number(Number::U(horizon)));
         put("epoch_cycles", Value::Number(Number::U(epoch)));
         put("policy", Value::String("atlas".to_owned()));
-        put("engine", Value::String(engine.label().to_owned()));
         let mut manifest = RunManifest::new("pccs-cli", env!("CARGO_PKG_VERSION"), "corun")
             .with_config(Value::Object(config));
         manifest.set_wall_secs(started.elapsed().as_secs_f64());
@@ -390,13 +374,11 @@ pub fn sched(args: &Args) -> Result<(), ArgError> {
             ))
         })?
     };
-    let mut cfg = if quick {
+    let cfg = if quick {
         SchedConfig::quick()
     } else {
         SchedConfig::default()
     };
-    let engine = engine_kind(args, EngineKind::Cycle)?;
-    cfg.probe.engine = engine;
     let metrics_out = args.get("metrics-out");
     if metrics_out.is_some() {
         TraceLog::enable();
@@ -446,7 +428,6 @@ pub fn sched(args: &Args) -> Result<(), ArgError> {
         put("policy", Value::String(report.policy.clone()));
         put("scale", Value::Number(Number::F(scale)));
         put("quick", Value::Bool(quick));
-        put("engine", Value::String(engine.label().to_owned()));
         let mut manifest = RunManifest::new("pccs-cli", env!("CARGO_PKG_VERSION"), "sched")
             .with_config(Value::Object(config));
         manifest.set_wall_secs(started.elapsed().as_secs_f64());
@@ -558,8 +539,6 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
     })?;
     cfg.admission = admission;
     cfg.batch.max_batch = args.get_usize("batch", cfg.batch.max_batch)?;
-    let engine = engine_kind(args, EngineKind::Event)?;
-    cfg.probe.engine = engine;
     let metrics_out = args.get("metrics-out");
     if metrics_out.is_some() {
         TraceLog::enable();
@@ -617,7 +596,6 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         put("admission", Value::String(report.admission.clone()));
         put("seed", Value::Number(Number::U(report.seed)));
         put("quick", Value::Bool(quick));
-        put("engine", Value::String(engine.label().to_owned()));
         let mut manifest = RunManifest::new("pccs-cli", env!("CARGO_PKG_VERSION"), "serve")
             .with_config(Value::Object(config));
         manifest.set_wall_secs(started.elapsed().as_secs_f64());
@@ -800,8 +778,6 @@ pub fn bench(args: &Args) -> Result<(), ArgError> {
     }
     let overhead = report.workloads["corun_contended"].extra["metrics_overhead_pct"];
     println!("metrics registry overhead: {overhead:.2}% (budget 5%)");
-    let speedup = report.workloads["dram_fastpath"].extra["speedup"];
-    println!("event-engine speedup over cycle-exact: {speedup:.1}x (target 10x)");
     println!("baseline written to {path} (+ {csv_path})");
     Ok(())
 }
@@ -914,32 +890,6 @@ mod tests {
         let on_cpu = bench_kernel(&soc, cpu, "streamcluster").unwrap();
         assert!(on_gpu.ops_per_byte != on_cpu.ops_per_byte);
         assert!(bench_kernel(&soc, gpu, "doom").is_err());
-    }
-
-    #[test]
-    fn engine_flag_parses_against_per_command_defaults() {
-        let parse = |s: &str| Args::parse(s.split_whitespace().map(String::from)).unwrap();
-        assert_eq!(
-            engine_kind(&parse("corun"), EngineKind::Cycle).unwrap(),
-            EngineKind::Cycle,
-            "corun/sched default must stay the cycle-exact reference"
-        );
-        assert_eq!(
-            engine_kind(&parse("serve"), EngineKind::Event).unwrap(),
-            EngineKind::Event,
-            "serve defaults to the event fast path"
-        );
-        assert_eq!(
-            engine_kind(&parse("serve --engine cycle"), EngineKind::Event).unwrap(),
-            EngineKind::Cycle,
-            "the explicit override beats the per-command default"
-        );
-        assert_eq!(
-            engine_kind(&parse("corun --engine event"), EngineKind::Cycle).unwrap(),
-            EngineKind::Event
-        );
-        let err = engine_kind(&parse("corun --engine warp"), EngineKind::Cycle).unwrap_err();
-        assert!(err.to_string().contains("warp"));
     }
 
     #[test]

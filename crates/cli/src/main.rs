@@ -9,14 +9,12 @@
 //!                   --external 40 --budget 0.05 [--model model.json]
 //! pccs corun       --soc xavier --pu GPU --bench streamcluster
 //!                  [--external 40] [--metrics-out out.jsonl] [--epoch 1000]
-//!                  [--quick] [--conformance] [--engine cycle|event]
+//!                  [--quick] [--conformance]
 //! pccs sched       [--soc xavier] [--mix contended] [--policy pccs]
 //!                  [--scale 1.0] [--quick] [--metrics-out out.jsonl]
-//!                  [--engine cycle|event]
 //! pccs serve       [--soc xavier] [--arrivals poisson] [--rate 8]
 //!                  [--policy pccs] [--admission open] [--duration 2000000]
 //!                  [--seed 42] [--batch 4] [--quick] [--metrics-out out.jsonl]
-//!                  [--engine cycle|event]
 //! pccs policies    [--victim 48]
 //! pccs lint        [--root .] [--json] [--changed <git-ref>]
 //!                  [--rule <name>] [--scope file|workspace]
@@ -42,12 +40,13 @@
 //! the prediction-audit ledger enabled, prints the accuracy scorecard,
 //! writes the `ACCURACY_<host>_<date>.json` baseline, and can gate
 //! against a stored one (DESIGN.md §12); `trace-check` validates a
-//! Chrome/Perfetto trace exported with `repro --trace-out`.
+//! Chrome/Perfetto trace exported with `repro --trace-out`. Every
+//! subcommand rejects options it does not read (exit status 2).
 
 mod args;
 mod commands;
 
-use args::Args;
+use args::{ArgError, Args};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -64,16 +63,14 @@ USAGE:
   pccs corun        --soc <s> --pu <p> --bench <name> [--external <GB/s>]
                     [--horizon <cycles>] [--metrics-out <events.jsonl>]
                     [--epoch <cycles>] [--quick] [--conformance]
-                    [--engine <cycle|event>]
   pccs sched        [--soc <s>] [--mix <contended|inference-burst|steady-stream>]
                     [--policy <round-robin|greedy|pccs|oracle>] [--scale <f>]
                     [--quick] [--jobs <N>] [--metrics-out <events.jsonl>]
-                    [--engine <cycle|event>]
   pccs serve        [--soc <s>] [--arrivals <poisson|bursty|trace>] [--rate <per-Mcycle>]
                     [--trace-file <arrivals.txt>] [--policy <round-robin|greedy|pccs|oracle>]
                     [--admission <open|strict|p<frac>>] [--duration <cycles>]
                     [--seed <N>] [--batch <N>] [--quick] [--jobs <N>]
-                    [--metrics-out <events.jsonl>] [--engine <cycle|event>]
+                    [--metrics-out <events.jsonl>]
   pccs policies     [--victim <GB/s>]
   pccs lint         [--root <path>] [--json] [--changed <git-ref>]
                     [--rule <name>] [--scope <file|workspace>]
@@ -84,38 +81,116 @@ USAGE:
 
 Run `pccs <command> --help` equivalents by reading the crate docs.";
 
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), ArgError>;
+
+/// Every subcommand: its name, the options it reads (any other option is
+/// an error), and its entry point.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("socs", &[], |_| commands::socs()),
+    (
+        "calibrate",
+        &["soc", "pu", "quick", "jobs", "out"],
+        commands::calibrate,
+    ),
+    (
+        "predict",
+        &["model", "demand", "soc", "pu", "bench", "external"],
+        commands::predict,
+    ),
+    (
+        "explore-freq",
+        &["soc", "pu", "bench", "external", "budget", "model", "truth"],
+        commands::explore_freq,
+    ),
+    (
+        "corun",
+        &[
+            "soc",
+            "pu",
+            "bench",
+            "external",
+            "horizon",
+            "metrics-out",
+            "epoch",
+            "quick",
+            "conformance",
+        ],
+        commands::corun,
+    ),
+    (
+        "sched",
+        &[
+            "soc",
+            "mix",
+            "policy",
+            "scale",
+            "quick",
+            "jobs",
+            "metrics-out",
+        ],
+        commands::sched,
+    ),
+    (
+        "serve",
+        &[
+            "soc",
+            "arrivals",
+            "rate",
+            "trace-file",
+            "policy",
+            "admission",
+            "duration",
+            "seed",
+            "batch",
+            "quick",
+            "jobs",
+            "metrics-out",
+        ],
+        commands::serve,
+    ),
+    ("policies", &["victim"], commands::policies),
+    (
+        "lint",
+        &["root", "json", "changed", "rule", "scope"],
+        commands::lint,
+    ),
+    ("bench", &["quick", "out"], commands::bench),
+    (
+        "audit",
+        &["quick", "out", "check", "tolerance", "validate"],
+        commands::audit,
+    ),
+    (
+        "trace-check",
+        &["file", "min-depth", "min-counters"],
+        commands::trace_check,
+    ),
+];
+
+/// Prints `error` with the usage text and exits with `code`.
+fn fail(error: ArgError, code: u8) -> ExitCode {
+    eprintln!("error: {error}\n\n{USAGE}");
+    ExitCode::from(code)
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(e, 2),
     };
-    let outcome = match args.command.as_deref() {
-        Some("socs") => commands::socs(),
-        Some("calibrate") => commands::calibrate(&args),
-        Some("predict") => commands::predict(&args),
-        Some("explore-freq") => commands::explore_freq(&args),
-        Some("corun") => commands::corun(&args),
-        Some("sched") => commands::sched(&args),
-        Some("serve") => commands::serve(&args),
-        Some("policies") => commands::policies(&args),
-        Some("lint") => commands::lint(&args),
-        Some("bench") => commands::bench(&args),
-        Some("audit") => commands::audit(&args),
-        Some("trace-check") => commands::trace_check(&args),
-        Some(other) => Err(args::ArgError(format!("unknown command '{other}'"))),
-        None => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
+    let Some(name) = args.command.as_deref() else {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     };
-    match outcome {
+    let Some(&(_, options, run)) = COMMANDS.iter().find(|(n, _, _)| *n == name) else {
+        return fail(ArgError(format!("unknown command '{name}'")), 1);
+    };
+    if let Err(e) = args.reject_unknown(options) {
+        return fail(e, 2);
+    }
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::from(1)
-        }
+        Err(e) => fail(e, 1),
     }
 }

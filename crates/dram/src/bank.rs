@@ -69,26 +69,6 @@ impl Bank {
         self.ready_at <= cycle
     }
 
-    /// Cycle at which the bank can accept the next request. The event
-    /// engine uses this as a wake-up breakpoint: a queued request blocked
-    /// only on bank readiness cannot become schedulable before this cycle.
-    pub fn ready_at(&self) -> u64 {
-        self.ready_at
-    }
-
-    /// Cycle at which a READ may next issue to this bank (tWTR turnaround
-    /// after the last write burst). Wake-up breakpoint for queued reads.
-    pub fn read_ready_at(&self) -> u64 {
-        self.read_ready_at
-    }
-
-    /// Cycle at which the currently open row may be precharged (tRAS of
-    /// the last activate). Wake-up breakpoint for row-conflict requests,
-    /// whose implied PRE is pinned to `max(cycle, ras_done_at)`.
-    pub fn ras_done_at(&self) -> u64 {
-        self.ras_done_at
-    }
-
     /// Whether the bank can accept a request of `kind` at `cycle`. Reads
     /// additionally respect the write-to-read turnaround (tWTR).
     pub fn is_ready_for(&self, kind: ReqKind, cycle: u64) -> bool {

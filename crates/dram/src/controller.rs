@@ -100,11 +100,6 @@ fn act_is_legal(acts: &[(u64, usize)], act_at: u64, group: usize, timing: &DramT
 }
 
 /// Whether queued request `q` is schedulable on its channel at `cycle`.
-///
-/// This is the single source of truth for the candidate filter: the
-/// per-cycle scheduler and the event engine's wake-up computation
-/// ([`MemoryController::next_wake`]) must agree exactly, or skip-ahead
-/// would stop being cycle-exact.
 fn is_schedulable(
     q: &QueuedRequest,
     channel: &ChannelState,
@@ -155,9 +150,6 @@ pub struct MemoryController {
     /// Optional protocol conformance observer; `None` costs one branch per
     /// issued request.
     conformance: Option<ConformanceChecker>,
-    /// First cycle not yet executed via the [`crate::engine::MemoryEngine`]
-    /// impl (the legacy `tick_into` path keeps its own caller-side cursor).
-    advanced_to: u64,
 }
 
 impl MemoryController {
@@ -204,18 +196,7 @@ impl MemoryController {
             completions: BinaryHeap::new(),
             recorder: None,
             conformance: None,
-            advanced_to: 0,
         }
-    }
-
-    /// First cycle not yet executed by the engine layer.
-    pub(crate) fn advanced_to(&self) -> u64 {
-        self.advanced_to
-    }
-
-    /// Records how far the engine layer has executed.
-    pub(crate) fn set_advanced_to(&mut self, cycle: u64) {
-        self.advanced_to = cycle;
     }
 
     /// Attaches the protocol conformance sanitizer, validating the emitted
@@ -262,10 +243,9 @@ impl MemoryController {
         &self.stats
     }
 
-    /// Takes the accumulated statistics, leaving empty ones behind. The
-    /// engine layer uses this because trait objects cannot consume `self`.
-    pub fn take_stats(&mut self) -> MemoryStats {
-        std::mem::replace(&mut self.stats, MemoryStats::new())
+    /// Consumes the controller, returning its accumulated statistics.
+    pub fn into_stats(self) -> MemoryStats {
+        self.stats
     }
 
     /// Number of queued (unissued) requests across all channels.
@@ -316,16 +296,9 @@ impl MemoryController {
     /// Advances the controller by one cycle: lets the policy pick at most
     /// one request per channel, updates bank/bus state, and appends the
     /// completions whose data finished transferring at or before `cycle`
-    /// to `out` (the buffer is not cleared, so callers can reuse one
-    /// allocation across the whole run).
+    /// to `out` in (finish, id, source) order (the buffer is not cleared,
+    /// so callers can reuse one allocation across the whole run).
     pub fn tick_into(&mut self, cycle: u64, out: &mut Vec<Completion>) {
-        self.step(cycle);
-        self.drain_up_to(cycle, out);
-    }
-
-    /// One cycle of scheduling work without draining completions (the
-    /// engine layer drains separately so both engines share one shape).
-    pub(crate) fn step(&mut self, cycle: u64) {
         self.policy.on_cycle(cycle);
         self.stats.elapsed_cycles = self.stats.elapsed_cycles.max(cycle + 1);
         if self.recorder.is_some() {
@@ -338,11 +311,7 @@ impl MemoryController {
         for ch_idx in 0..self.channels.len() {
             self.schedule_channel(ch_idx, cycle);
         }
-    }
 
-    /// Appends all completions with `finish <= cycle` to `out`, in
-    /// (finish, id, source) order.
-    pub(crate) fn drain_up_to(&mut self, cycle: u64, out: &mut Vec<Completion>) {
         while let Some(&Reverse((finish, id, source))) = self.completions.peek() {
             if finish > cycle {
                 break;
@@ -356,16 +325,8 @@ impl MemoryController {
         }
     }
 
-    /// The finish cycle of the earliest buffered completion, if any.
-    pub(crate) fn next_completion_at(&self) -> Option<u64> {
-        self.completions
-            .peek()
-            .map(|&Reverse((finish, _, _))| finish)
-    }
-
     /// Row-hit shielding precondition: a bitmask of banks that still have
-    /// queued row hits for their open row. Shared by the scheduler and
-    /// `next_wake` so both see the identical shield state.
+    /// queued row hits for their open row.
     fn pending_hit_mask(&self, channel: &ChannelState) -> u128 {
         let mut mask = 0u128;
         for &slot in &channel.queue {
@@ -375,127 +336,6 @@ impl MemoryController {
             }
         }
         mask
-    }
-
-    /// The earliest cycle `>= from` at which this controller might do
-    /// anything other than accumulate uniform stall cycles: issue a
-    /// request, run a refresh, unblock the data bus, hit a policy
-    /// epoch/quantum boundary, or see a queued request newly become
-    /// schedulable (bank timing expiry, tRRD/tFAW window expiry, tRAS
-    /// release). The event engine executes every cycle this returns and
-    /// skips the span in between; returning a cycle that is *too early*
-    /// only costs speed, returning one that is too late would break
-    /// cycle-exactness, so every bound below is conservative.
-    pub(crate) fn next_wake(&self, from: u64) -> u64 {
-        if self.recorder.is_some() {
-            // Telemetry recorders sample queue depth per cycle; degrade to
-            // cycle-exact stepping rather than distort epoch series.
-            return from;
-        }
-        let timing = &self.config.timing;
-        let mut wake = self.policy.next_wakeup().max(from);
-        for channel in &self.channels {
-            if channel.next_refresh_at != u64::MAX {
-                wake = wake.min(channel.next_refresh_at.max(from));
-            }
-            if channel.queue.is_empty() {
-                continue;
-            }
-            if from < channel.next_issue_at {
-                // Bus-blocked until next_issue_at; nothing can issue
-                // earlier, and the stall classification is uniform.
-                wake = wake.min(channel.next_issue_at);
-                continue;
-            }
-            let shield_rows = self.policy.respects_open_rows();
-            let pending_hits = if shield_rows {
-                self.pending_hit_mask(channel)
-            } else {
-                0
-            };
-            let schedulable = channel.queue.iter().any(|&slot| {
-                let q = &self.slab[slot as usize];
-                let pending_hit = pending_hits >> q.decoded.bank & 1 != 0;
-                is_schedulable(q, channel, pending_hit, shield_rows, from, &self.config)
-            });
-            if schedulable {
-                return from;
-            }
-            // No candidate at `from`: collect every cycle at which a
-            // queued request's schedulability predicate could flip from
-            // false to true. Bank/row/shield state is frozen until the
-            // next issue or refresh (both of which are themselves wake
-            // points), so the thresholds below are a complete superset.
-            let mut best = u64::MAX;
-            let consider = |c: u64, best: &mut u64| {
-                if c > from && c < *best {
-                    *best = c;
-                }
-            };
-            for &slot in &channel.queue {
-                let q = &self.slab[slot as usize];
-                let bank = &channel.banks[q.decoded.bank];
-                consider(bank.ready_at(), &mut best);
-                if q.req.kind == ReqKind::Read {
-                    consider(bank.read_ready_at(), &mut best);
-                }
-                match bank.probe(q.decoded.row) {
-                    RowOutcome::Hit => {}
-                    RowOutcome::Miss => {
-                        // Implied ACT at the issue cycle itself: tRRD/tFAW
-                        // legality flips when the history entries age out.
-                        for &(a, _) in &channel.acts {
-                            consider(a + timing.t_rrd_s, &mut best);
-                            consider(a + timing.t_rrd_l, &mut best);
-                            consider(a + timing.t_faw, &mut best);
-                        }
-                    }
-                    RowOutcome::Conflict => {
-                        // Implied ACT at max(cycle, ras_done_at) + tRP:
-                        // the same thresholds shifted into issue-cycle
-                        // space, plus the tRAS release boundary where the
-                        // ACT time starts tracking the issue cycle.
-                        consider(bank.ras_done_at(), &mut best);
-                        for &(a, _) in &channel.acts {
-                            consider((a + timing.t_rrd_s).saturating_sub(timing.t_rp), &mut best);
-                            consider((a + timing.t_rrd_l).saturating_sub(timing.t_rp), &mut best);
-                            consider((a + timing.t_faw).saturating_sub(timing.t_rp), &mut best);
-                        }
-                    }
-                }
-            }
-            wake = wake.min(best);
-        }
-        wake
-    }
-
-    /// Account for a skipped stall span `[from, to)` exactly as per-cycle
-    /// ticking would have: per channel, the whole span is idle (empty
-    /// queue), bus-blocked (before `next_issue_at`), or no-candidate —
-    /// [`MemoryController::next_wake`] guarantees the classification
-    /// cannot change inside the span.
-    pub(crate) fn skip_cycles(&mut self, from: u64, to: u64) {
-        if to <= from {
-            return;
-        }
-        debug_assert!(
-            self.recorder.is_none(),
-            "skip-ahead with a telemetry recorder attached"
-        );
-        let span = to - from;
-        let sched = &mut self.stats.scheduler;
-        for channel in &self.channels {
-            debug_assert!(to <= channel.next_refresh_at, "skipped over a refresh");
-            if channel.queue.is_empty() {
-                sched.idle += span;
-            } else if from < channel.next_issue_at {
-                debug_assert!(to <= channel.next_issue_at, "skipped past bus unblock");
-                sched.bus_blocked += span;
-            } else {
-                sched.no_candidate += span;
-            }
-        }
-        self.stats.elapsed_cycles = self.stats.elapsed_cycles.max(to);
     }
 
     fn schedule_channel(&mut self, ch_idx: usize, cycle: u64) {

@@ -45,8 +45,6 @@ pub mod config;
 pub mod conformance;
 /// The memory controller: per-channel request queues, bank state, and the.
 pub mod controller;
-/// The memory-engine abstraction: cycle-exact and event-driven drivers.
-pub mod engine;
 /// Physical-address-to-DRAM-coordinate mapping.
 pub mod mapping;
 /// Multi-memory-controller SoCs. Not yet wired into the SoC models —
@@ -69,7 +67,6 @@ pub mod traffic;
 
 pub use config::DramConfig;
 pub use conformance::{ConformanceChecker, ConformanceReport};
-pub use engine::{EngineKind, EventEngine, MemoryEngine};
 pub use policy::PolicyKind;
 pub use request::{MemoryRequest, ReqKind, SourceId};
 pub use sim::{DramSystem, SimOutcome};

@@ -13,7 +13,6 @@
 use crate::config::DramConfig;
 use crate::conformance::ConformanceReport;
 use crate::controller::{Completion, MemoryController};
-use crate::engine::{EngineKind, MemoryEngine};
 use crate::policy::PolicyKind;
 use crate::request::{MemoryRequest, SourceId};
 use crate::sim::{MeasureWindow, SimOutcome};
@@ -28,14 +27,12 @@ pub struct MultiMcSystem {
     total: DramConfig,
     per_mc: DramConfig,
     mcs: Vec<MemoryController>,
-    engine: EngineKind,
     generators: Vec<Box<dyn TrafficSource>>,
 }
 
 impl MultiMcSystem {
     /// Splits `total` geometry across `mc_count` controllers running
-    /// `policy` (each gets an independent policy instance), driven by the
-    /// cycle-exact engine.
+    /// `policy` (each gets an independent policy instance).
     ///
     /// # Panics
     ///
@@ -57,19 +54,8 @@ impl MultiMcSystem {
             total,
             per_mc,
             mcs,
-            engine: EngineKind::Cycle,
             generators: Vec::new(),
         }
-    }
-
-    /// Selects which [`MemoryEngine`] drives every controller.
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.engine = engine;
-    }
-
-    /// The engine kind the run will use.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
     }
 
     /// Number of controllers.
@@ -113,17 +99,13 @@ impl MultiMcSystem {
     pub fn run(self, horizon: u64) -> SimOutcome {
         let MultiMcSystem {
             total,
-            mcs,
-            engine,
+            mut mcs,
             mut generators,
             ..
         } = self;
         let mc_count = mcs.len();
-        let mut engines: Vec<Box<dyn MemoryEngine>> =
-            mcs.into_iter().map(|mc| engine.wrap(mc)).collect();
         let mut buf: Vec<Completion> = Vec::new();
-        let mut now = 0u64;
-        while now < horizon {
+        for now in 0..horizon {
             for generator in &mut generators {
                 while let Some(req) = generator.poll(now) {
                     let (mc, local_addr) = route_addr(req.addr, &total, mc_count);
@@ -131,17 +113,16 @@ impl MultiMcSystem {
                         addr: local_addr,
                         ..req
                     };
-                    if engines[mc].enqueue(local).is_err() {
+                    if mcs[mc].try_enqueue(local).is_err() {
                         // Hand the *original* request back for retry.
                         generator.on_reject(req);
                         break;
                     }
                 }
             }
-            for eng in &mut engines {
-                eng.advance_to(now);
+            for mc in &mut mcs {
                 buf.clear();
-                eng.drain_completions(&mut buf);
+                mc.tick_into(now, &mut buf);
                 for completion in &buf {
                     for generator in &mut generators {
                         if generator.source_id() == completion.source {
@@ -151,28 +132,6 @@ impl MultiMcSystem {
                     }
                 }
             }
-            // Skip ahead to the earliest cycle any controller or generator
-            // needs; the cycle engine answers `now + 1`, reproducing the
-            // legacy per-cycle loop exactly.
-            let mut next = horizon;
-            for eng in &engines {
-                next = next.min(eng.next_event(now + 1));
-            }
-            for g in &generators {
-                if let Some(emit) = g.next_emit_at(now + 1) {
-                    next = next.min(emit.max(now + 1));
-                }
-            }
-            let next = next.max(now + 1);
-            if next > now + 1 {
-                for g in &mut generators {
-                    g.fast_forward(now + 1, next);
-                }
-            }
-            now = next;
-        }
-        for eng in &mut engines {
-            eng.finish(horizon);
         }
 
         // Merge statistics (and telemetry reports) across controllers.
@@ -180,20 +139,20 @@ impl MultiMcSystem {
         stats.elapsed_cycles = horizon;
         let mut telemetry: Option<TelemetryReport> = None;
         let mut conformance: Option<ConformanceReport> = None;
-        for mut eng in engines {
-            if let Some(report) = eng.take_report(horizon) {
+        for mut mc in mcs {
+            if let Some(report) = mc.take_report(horizon) {
                 match &mut telemetry {
                     Some(merged) => merged.merge(&report),
                     None => telemetry = Some(report),
                 }
             }
-            if let Some(report) = eng.conformance_report() {
+            if let Some(report) = mc.conformance_report() {
                 match &mut conformance {
                     Some(merged) => merged.merge(&report),
                     None => conformance = Some(report),
                 }
             }
-            let s = eng.take_stats();
+            let s = mc.into_stats();
             for (src, per) in s.per_source {
                 let agg = stats.source_mut(src);
                 agg.served += per.served;
@@ -361,23 +320,6 @@ mod tests {
         let before = epochs.len();
         epochs.dedup();
         assert_eq!(epochs.len(), before);
-    }
-
-    #[test]
-    fn event_engine_matches_cycle_engine_across_mcs() {
-        let run = |engine: EngineKind| {
-            let mut sys = MultiMcSystem::new(DramConfig::xavier(), 2, PolicyKind::Tcm);
-            sys.set_engine(engine);
-            for s in 0..3 {
-                sys.add_generator(stream(s, 12.0 + 6.0 * s as f64));
-            }
-            sys.run(40_000)
-        };
-        let cycle = run(EngineKind::Cycle);
-        let event = run(EngineKind::Event);
-        assert_eq!(cycle.stats, event.stats, "merged MemoryStats diverged");
-        assert_eq!(cycle.completed, event.completed);
-        assert_eq!(cycle.progress, event.progress);
     }
 
     #[test]

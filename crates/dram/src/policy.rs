@@ -75,18 +75,6 @@ pub trait SchedulingPolicy: fmt::Debug + Send {
     /// Called once per controller cycle for epoch/quantum maintenance.
     fn on_cycle(&mut self, _cycle: u64) {}
 
-    /// The next cycle at which [`SchedulingPolicy::on_cycle`] performs
-    /// state maintenance (epoch, quantum, or shuffle boundaries), or
-    /// `u64::MAX` if `on_cycle` is a no-op. The event-driven engine
-    /// (see [`crate::engine`]) skips ahead over stall cycles but must
-    /// still execute every maintenance cycle so that policy state — and
-    /// therefore scheduling decisions — stay bit-identical to the
-    /// cycle-exact reference. Policies whose `on_cycle` mutates state
-    /// must override this; the default declares `on_cycle` stateless.
-    fn next_wakeup(&self) -> u64 {
-        u64::MAX
-    }
-
     /// Whether the controller may shield an open row from closure while
     /// row-hit requests for it are still queued (open-page awareness).
     /// All realistic schedulers respect open rows; plain FCFS — by
@@ -372,10 +360,6 @@ impl SchedulingPolicy for Atlas {
             self.next_quantum = cycle + self.quantum_cycles;
         }
     }
-
-    fn next_wakeup(&self) -> u64 {
-        self.next_epoch.min(self.next_quantum)
-    }
 }
 
 /// TCM: Thread Cluster Memory scheduling (Kim et al., MICRO'10).
@@ -523,10 +507,6 @@ impl SchedulingPolicy for Tcm {
             self.shuffle_ranks();
             self.next_shuffle = cycle + self.shuffle_cycles;
         }
-    }
-
-    fn next_wakeup(&self) -> u64 {
-        self.next_quantum.min(self.next_shuffle)
     }
 }
 

@@ -4,7 +4,6 @@
 use crate::config::DramConfig;
 use crate::conformance::ConformanceReport;
 use crate::controller::{Completion, MemoryController};
-use crate::engine::{EngineKind, MemoryEngine};
 use crate::policy::PolicyKind;
 use crate::request::SourceId;
 use crate::stats::MemoryStats;
@@ -18,26 +17,16 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct DramSystem {
     controller: MemoryController,
-    engine: EngineKind,
     generators: Vec<Box<dyn TrafficSource>>,
 }
 
 impl DramSystem {
-    /// Creates a system with the given geometry and scheduling policy,
-    /// driven by the cycle-exact engine.
+    /// Creates a system with the given geometry and scheduling policy.
     pub fn new(config: DramConfig, policy: PolicyKind) -> Self {
         Self {
-            controller: MemoryController::new(config.clone(), policy.instantiate()),
-            engine: EngineKind::Cycle,
+            controller: MemoryController::new(config, policy.instantiate()),
             generators: Vec::new(),
         }
-    }
-
-    /// Creates a system with an explicit [`EngineKind`].
-    pub fn with_engine(config: DramConfig, policy: PolicyKind, engine: EngineKind) -> Self {
-        let mut sys = Self::new(config, policy);
-        sys.engine = engine;
-        sys
     }
 
     /// Creates a system around an existing controller (e.g. with a custom
@@ -45,19 +34,8 @@ impl DramSystem {
     pub fn from_controller(controller: MemoryController) -> Self {
         Self {
             controller,
-            engine: EngineKind::Cycle,
             generators: Vec::new(),
         }
-    }
-
-    /// Selects which engine drives the run (default: cycle-exact).
-    pub fn set_engine(&mut self, engine: EngineKind) {
-        self.engine = engine;
-    }
-
-    /// The engine kind that will drive the run.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine
     }
 
     /// The memory geometry.
@@ -108,47 +86,35 @@ impl DramSystem {
     pub fn run_with_warmup(self, warmup: u64, horizon: u64) -> SimOutcome {
         assert!(warmup < horizon, "warmup must be shorter than the horizon");
         let DramSystem {
-            controller,
-            engine,
+            mut controller,
             mut generators,
         } = self;
         let config = controller.config().clone();
-        let mut eng: Box<dyn MemoryEngine> = engine.wrap(controller);
         let mut warmup_progress: BTreeMap<SourceId, u64> = BTreeMap::new();
         let mut warmup_bytes: BTreeMap<SourceId, u64> = BTreeMap::new();
         let mut buf: Vec<Completion> = Vec::new();
-        let mut snapped = warmup == 0;
-        // The loop below steps over *executed* cycles only. The cycle
-        // engine declares every cycle actionable, which degrades it to
-        // the classic per-cycle loop; the event engine skips from one
-        // actionable cycle to the next, with `fast_forward` carrying the
-        // generators' per-cycle state across the gap bit-exactly.
-        let mut now = 0u64;
-        while now < horizon {
-            if !snapped && now == warmup {
-                // Top-of-cycle snapshot, before this cycle's polls —
-                // exactly where the per-cycle loop takes it.
+        for now in 0..horizon {
+            if warmup > 0 && now == warmup {
+                // Top-of-cycle snapshot, before this cycle's polls.
                 for g in &generators {
                     warmup_progress.insert(g.source_id(), g.progress());
                 }
-                for (src, st) in &eng.stats().per_source {
+                for (src, st) in &controller.stats().per_source {
                     warmup_bytes.insert(*src, st.bytes);
                 }
-                snapped = true;
             }
             // Let every source emit as much as it can this cycle.
             for generator in &mut generators {
                 while let Some(req) = generator.poll(now) {
-                    if let Err(back) = eng.enqueue(req) {
+                    if let Err(back) = controller.try_enqueue(req) {
                         generator.on_reject(back);
                         break;
                     }
                 }
             }
-            // Advance the engine; deliver completions.
-            eng.advance_to(now);
+            // Advance the controller; deliver completions.
             buf.clear();
-            eng.drain_completions(&mut buf);
+            controller.tick_into(now, &mut buf);
             for completion in &buf {
                 for generator in &mut generators {
                     if generator.source_id() == completion.source {
@@ -157,27 +123,7 @@ impl DramSystem {
                     }
                 }
             }
-            // Choose the next executed cycle: the engine's next actionable
-            // cycle, any generator's next possible emission, the warmup
-            // snapshot point, or the horizon — whichever comes first.
-            let mut next = eng.next_event(now + 1).min(horizon);
-            if !snapped {
-                next = next.min(warmup);
-            }
-            for g in &generators {
-                if let Some(emit) = g.next_emit_at(now + 1) {
-                    next = next.min(emit.max(now + 1));
-                }
-            }
-            let next = next.max(now + 1);
-            if next > now + 1 {
-                for g in &mut generators {
-                    g.fast_forward(now + 1, next);
-                }
-            }
-            now = next;
         }
-        eng.finish(horizon);
 
         let completed: BTreeMap<SourceId, u64> = generators
             .iter()
@@ -187,9 +133,9 @@ impl DramSystem {
             .iter()
             .map(|g| (g.source_id(), g.progress()))
             .collect();
-        let telemetry = eng.take_report(horizon);
-        let conformance = eng.conformance_report();
-        let stats = eng.take_stats();
+        let telemetry = controller.take_report(horizon);
+        let conformance = controller.conformance_report();
+        let stats = controller.into_stats();
         stats.publish_metrics();
         let measured = MeasureWindow {
             cycles: horizon - warmup,
@@ -527,77 +473,6 @@ mod tests {
         );
         let out = sys.run(5_000);
         assert!(out.telemetry.is_none());
-    }
-
-    #[test]
-    fn event_engine_matches_cycle_engine_on_contended_run() {
-        let run = |engine: EngineKind| {
-            let mut sys =
-                DramSystem::with_engine(DramConfig::cmp_study(), PolicyKind::Atlas, engine);
-            for s in 0..3usize {
-                sys.add_generator(
-                    StreamTraffic::builder(SourceId(s))
-                        .demand_gbps(25.0 + 10.0 * s as f64)
-                        .row_locality(0.85)
-                        .write_fraction(if s == 1 { 0.3 } else { 0.0 })
-                        .window(32)
-                        .seed(41 + s as u64)
-                        .build(),
-                );
-            }
-            sys.run_with_warmup(10_000, 50_000)
-        };
-        let cycle = run(EngineKind::Cycle);
-        let event = run(EngineKind::Event);
-        assert_eq!(cycle.stats, event.stats, "MemoryStats diverged");
-        assert_eq!(cycle.completed, event.completed);
-        assert_eq!(cycle.progress, event.progress);
-        assert_eq!(cycle.measured.progress, event.measured.progress);
-        assert_eq!(cycle.measured.bytes, event.measured.bytes);
-    }
-
-    #[test]
-    fn event_engine_matches_cycle_engine_under_light_load() {
-        // Light load maximizes skip spans (idle + refresh-only stretches),
-        // which is exactly where the closed-form stall accounting could
-        // drift if it misclassified a span.
-        let run = |engine: EngineKind| {
-            let mut sys =
-                DramSystem::with_engine(DramConfig::cmp_study(), PolicyKind::FrFcfs, engine);
-            sys.add_generator(
-                StreamTraffic::builder(SourceId(0))
-                    .demand_gbps(0.8)
-                    .row_locality(0.9)
-                    .window(8)
-                    .build(),
-            );
-            sys.run(200_000)
-        };
-        let cycle = run(EngineKind::Cycle);
-        let event = run(EngineKind::Event);
-        assert_eq!(cycle.stats, event.stats, "MemoryStats diverged");
-        assert_eq!(cycle.completed, event.completed);
-    }
-
-    #[test]
-    fn event_engine_with_recorder_still_reconciles() {
-        use pccs_telemetry::EpochRecorder;
-        let mut sys = DramSystem::with_engine(
-            DramConfig::cmp_study(),
-            PolicyKind::FrFcfs,
-            EngineKind::Event,
-        );
-        sys.add_generator(
-            StreamTraffic::builder(SourceId(0))
-                .demand_gbps(40.0)
-                .row_locality(0.9)
-                .window(64)
-                .build(),
-        );
-        sys.set_recorder(Box::new(EpochRecorder::new(1000)));
-        let out = sys.run(20_000);
-        let report = out.telemetry.as_ref().expect("recorder attached");
-        assert_eq!(report.total_bytes(), out.stats.total_bytes());
     }
 
     #[test]

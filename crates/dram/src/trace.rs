@@ -226,26 +226,6 @@ impl TrafficSource for TraceSource {
     fn issued(&self) -> u64 {
         self.issued
     }
-
-    fn next_emit_at(&self, cycle: u64) -> Option<u64> {
-        if self.retry.is_some() {
-            return Some(cycle);
-        }
-        match (self.records.front(), self.mode) {
-            // Timed replay has no window gate: the next record's own
-            // timestamp is the exact next emission cycle.
-            (Some(r), ReplayMode::Timed) => Some(r.cycle.max(cycle)),
-            (Some(_), ReplayMode::AsFast { window }) => {
-                if self.outstanding < window {
-                    Some(cycle)
-                } else {
-                    None // Unblocks on a completion — an executed cycle.
-                }
-            }
-            (None, _) => None,
-        }
-    }
-    // No fast_forward override: replay holds no per-cycle state.
 }
 
 #[cfg(test)]

@@ -120,27 +120,6 @@ pub trait TrafficSource: fmt::Debug + Send {
     fn progress(&self) -> u64 {
         self.completed()
     }
-
-    /// The earliest cycle `>= cycle` at which [`TrafficSource::poll`]
-    /// could emit a request, or `None` if the source is blocked on an
-    /// external event (a completion) or will never emit again. Used by
-    /// the event-driven engine to skip stall spans; answers may
-    /// *undershoot* (the driver re-polls and re-asks) but must never
-    /// overshoot, or the fast path would emit later than the cycle-exact
-    /// reference. The default — "poll me every cycle" — is always
-    /// correct and simply disables skip-ahead for this source.
-    fn next_emit_at(&self, cycle: u64) -> Option<u64> {
-        Some(cycle)
-    }
-
-    /// Advances internal per-cycle state across the skipped span
-    /// `[from, to)` exactly as if [`TrafficSource::poll`] had been called
-    /// once per cycle with no emission and no completion delivery. Paired
-    /// with [`TrafficSource::next_emit_at`]; sources using the default
-    /// hint never see a skipped span, so the default is a no-op.
-    fn fast_forward(&mut self, from: u64, to: u64) {
-        let _ = (from, to);
-    }
 }
 
 /// A rate-limited streaming traffic source.
@@ -351,60 +330,6 @@ impl TrafficSource for StreamTraffic {
 
     fn issued(&self) -> u64 {
         self.issued
-    }
-
-    fn next_emit_at(&self, cycle: u64) -> Option<u64> {
-        if self.retry.is_some() {
-            // A pending retry forces per-cycle stepping: the retry/refill
-            // interleaving must replay exactly as the cycle-exact loop.
-            return Some(cycle);
-        }
-        if self.outstanding >= self.window {
-            return None; // Unblocks on a completion — an executed cycle.
-        }
-        let line = self.line_bytes as f64;
-        if self.credit >= line {
-            return Some(cycle); // Credit only grows until spent.
-        }
-        let rate = self.rate_bytes_per_cycle;
-        if rate <= 0.0 {
-            return None;
-        }
-        // Replay the exact capped-refill recurrence poll() runs once per
-        // cycle, so the predicted emission cycle is bit-faithful to the
-        // per-cycle reference. Bounded: beyond it, fall back to a
-        // guaranteed undershoot (half the exact-arithmetic estimate can
-        // never pass the true floating-point crossing), which the driver
-        // refines on the next wake-up.
-        const MAX_EXACT_STEPS: u64 = 512;
-        let cap = rate * 64.0 + line;
-        let mut credit = self.credit;
-        for j in 1..=MAX_EXACT_STEPS {
-            credit = (credit + rate).min(cap);
-            if credit >= line {
-                return Some(cycle + j - 1);
-            }
-        }
-        let est = ((line - self.credit) / rate).max(2.0);
-        let back = ((est / 2.0) as u64).max(MAX_EXACT_STEPS);
-        Some(cycle + back - 1)
-    }
-
-    fn fast_forward(&mut self, from: u64, to: u64) {
-        if to <= from {
-            return;
-        }
-        debug_assert!(self.retry.is_none(), "fast-forward with a pending retry");
-        // The same once-per-cycle capped refill poll() performs, with an
-        // early exit once the cap is reached (further refills are exact
-        // no-ops, so skipping them is bit-identical).
-        let cap = self.rate_bytes_per_cycle * 64.0 + self.line_bytes as f64;
-        let mut n = to - from;
-        while n > 0 && self.credit < cap {
-            self.credit = (self.credit + self.rate_bytes_per_cycle).min(cap);
-            n -= 1;
-        }
-        self.last_cycle = Some(to - 1);
     }
 }
 

@@ -2,7 +2,7 @@
 //! simulated SoC substrate.
 //!
 //! ```text
-//! repro [--quick] [--curves] [--jobs N] [--engine <cycle|event>]
+//! repro [--quick] [--curves] [--jobs N]
 //!       [--metrics-out <dir>] [--trace-out <file>] [--audit-out <file>]
 //!       [all | validate | fig2 fig3 fig5 fig6 table5 table7 fig8 fig9
 //!        fig10 fig11 fig12 fig13 fig14 table9 table10 oblivious sched]
@@ -24,15 +24,11 @@
 //! per-worker span lanes and one counter track per `pccs` metric, sampled
 //! at every experiment boundary (DESIGN.md §9).
 //!
-//! Sweeps run on the event-driven memory engine by default (bit-identical
-//! to the cycle-exact reference by the parity suite; DESIGN.md §11);
-//! `--engine cycle` restores the reference, and the manifests record
-//! which one ran. `--audit-out <file>` enables the prediction-audit
+//! `--audit-out <file>` enables the prediction-audit
 //! ledger (DESIGN.md §12), writes every resolved (prediction,
 //! ground-truth) pair from the validation figures as JSONL, and prints
 //! the accuracy scorecard at the end of the run.
 
-use pccs_dram::engine::EngineKind;
 use pccs_experiments::context::{Context, Quality};
 use pccs_experiments::validate::Figure;
 use pccs_experiments::{
@@ -69,13 +65,25 @@ const ALL: &[&str] = &[
 /// The `validate` selector: the five per-benchmark validation figures.
 const VALIDATE: &[&str] = &["fig8", "fig9", "fig10", "fig11", "fig12"];
 
+/// Options without a value.
+const SWITCHES: &[&str] = &["--quick", "--curves"];
+
+/// Options that take a value; their value tokens must not be mistaken for
+/// experiment names.
+const VALUED: &[&str] = &[
+    "--metrics-out",
+    "--json",
+    "--jobs",
+    "--trace-out",
+    "--audit-out",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let verbose = args.iter().any(|a| a == "--curves");
 
-    // Options with values; their value tokens must not be mistaken for
-    // experiment names.
+    // The value following `flag`, if given.
     let opt_value = |flag: &str| -> Option<String> {
         args.iter()
             .position(|a| a == flag)
@@ -87,22 +95,6 @@ fn main() {
     let json_dir: Option<String> = opt_value("--metrics-out").or_else(|| opt_value("--json"));
     let trace_out: Option<String> = opt_value("--trace-out");
     let audit_out: Option<String> = opt_value("--audit-out");
-    let engine = match opt_value("--engine").as_deref() {
-        None => EngineKind::Event,
-        Some(v) => match v.parse() {
-            Ok(kind) => kind,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-    };
-    if let Some(dir) = &json_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create --metrics-out dir {dir}: {e}");
-            std::process::exit(2);
-        }
-    }
     let jobs: usize = match opt_value("--jobs") {
         None => 0, // all available cores
         Some(v) => match v.parse() {
@@ -118,17 +110,26 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if a == "--json"
-            || a == "--metrics-out"
-            || a == "--jobs"
-            || a == "--trace-out"
-            || a == "--audit-out"
-            || a == "--engine"
-        {
+        if VALUED.contains(&a.as_str()) {
             i += 2; // skip the flag and its value
             continue;
         }
-        if !a.starts_with("--") {
+        if a == "--engine" {
+            eprintln!(
+                "option '--engine' was removed: the cycle-exact memory engine is the only engine"
+            );
+            std::process::exit(2);
+        }
+        if a.starts_with("--") {
+            if !SWITCHES.contains(&a.as_str()) {
+                eprintln!(
+                    "unknown option '{a}'; known: {} {}",
+                    SWITCHES.join(" "),
+                    VALUED.join(" ")
+                );
+                std::process::exit(2);
+            }
+        } else {
             selected.push(a.to_ascii_lowercase());
         }
         i += 1;
@@ -158,15 +159,21 @@ fn main() {
         }
     }
 
+    if let Some(dir) = &json_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create --metrics-out dir {dir}: {e}");
+            std::process::exit(2);
+        }
+    }
+
     let quality = if quick { Quality::Quick } else { Quality::Full };
-    let mut ctx = Context::new(quality).with_jobs(jobs).with_engine(engine);
+    let mut ctx = Context::new(quality).with_jobs(jobs);
     println!(
-        "# PCCS reproduction — {} fidelity (horizon {} cycles, {} repeats, {} jobs, {} engine)\n",
+        "# PCCS reproduction — {} fidelity (horizon {} cycles, {} repeats, {} jobs)\n",
         if quick { "quick" } else { "full" },
         ctx.horizon(),
         ctx.repeats(),
-        ctx.jobs(),
-        ctx.engine().label()
+        ctx.jobs()
     );
     if audit_out.is_some() {
         // Every resolved (prediction, ground truth) pair from the
@@ -201,10 +208,6 @@ fn main() {
         c.insert(
             "jobs".to_owned(),
             Value::Number(Number::U(ctx.jobs() as u64)),
-        );
-        c.insert(
-            "engine".to_owned(),
-            Value::String(ctx.engine().label().to_owned()),
         );
         Value::Object(c)
     };

@@ -10,7 +10,6 @@
 use crate::cache::{CacheStats, ProfileCache};
 use crate::error::ExperimentError;
 use pccs_core::{CalibrationData, PccsModel};
-use pccs_dram::engine::EngineKind;
 use pccs_gables::GablesModel;
 use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement, StandaloneProfile};
 use pccs_soc::kernel::KernelDesc;
@@ -40,11 +39,6 @@ pub struct Context {
     pub snapdragon: SocConfig,
     /// Worker threads for sweep cells and calibration (0 = all cores).
     jobs: usize,
-    /// Memory-engine driver for the measurement sweeps. Defaults to the
-    /// event-driven fast path — bit-identical to the cycle-exact
-    /// reference (asserted by the `engine-parity` suite) and much faster
-    /// on light load; `--engine cycle` restores the reference.
-    engine: EngineKind,
     models: Mutex<BTreeMap<(String, usize), (PccsModel, CalibrationData)>>,
     profiles: ProfileCache,
 }
@@ -57,7 +51,6 @@ impl Context {
             xavier: SocConfig::xavier(),
             snapdragon: SocConfig::snapdragon855(),
             jobs: 0,
-            engine: EngineKind::Event,
             models: Mutex::new(BTreeMap::new()),
             profiles: ProfileCache::new(),
         }
@@ -70,27 +63,14 @@ impl Context {
         self
     }
 
-    /// Overrides the memory-engine driver for the measurement sweeps
-    /// (results are bit-identical either way).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The memory-engine driver the sweeps run on.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
     /// The co-run measurement configuration at this fidelity: the single
-    /// source of truth for the horizon, repeats, MC policy, and engine
-    /// every sweep measurement uses (and the provenance the audit ledger
+    /// source of truth for the horizon, repeats, and MC policy every
+    /// sweep measurement uses (and the provenance the audit ledger
     /// records).
     pub fn corun_config(&self) -> CoRunConfig {
         CoRunConfig::default()
             .with_horizon(self.horizon())
             .with_repeats(self.repeats())
-            .with_engine(self.engine)
     }
 
     /// The resolved worker-thread count (always ≥ 1).
@@ -285,19 +265,6 @@ mod tests {
         assert!(quick.horizon() < full.horizon());
         assert!(quick.repeats() <= full.repeats());
         assert!(quick.external_grid(&quick.xavier).len() < full.external_grid(&full.xavier).len());
-    }
-
-    #[test]
-    fn sweeps_default_to_the_event_engine() {
-        let ctx = Context::new(Quality::Quick);
-        assert_eq!(
-            ctx.engine(),
-            EngineKind::Event,
-            "sweeps run on the event fast path by default (ROADMAP item 2)"
-        );
-        assert_eq!(ctx.corun_config().engine, EngineKind::Event);
-        let cycle = Context::new(Quality::Quick).with_engine(EngineKind::Cycle);
-        assert_eq!(cycle.corun_config().engine, EngineKind::Cycle);
     }
 
     #[test]

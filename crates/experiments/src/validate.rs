@@ -228,8 +228,7 @@ impl Experiment for ValidateExperiment {
                             .with_pu(&prep.soc.pus[prep.pu].name)
                             .with_workload(name)
                             .with_region(prep.pccs.region_label(x))
-                            .with_policy(cfg.policy.label())
-                            .with_engine(cfg.engine.label()),
+                            .with_policy(cfg.policy.label()),
                     );
                 }
                 (y, actual, p, g)
@@ -379,7 +378,6 @@ mod tests {
         );
         for r in &recs {
             assert_ne!(r.region, "-", "PCCS models attribute a region");
-            assert_eq!(r.engine, "event", "sweeps default to the event engine");
         }
     }
 }

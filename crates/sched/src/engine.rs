@@ -488,8 +488,7 @@ pub fn run_schedule(
                         .with_pu(&soc.pus[r.pu_idx].name)
                         .with_workload(&r.job.name)
                         .with_region(&r.region)
-                        .with_policy(&r.placed_by)
-                        .with_engine(cfg.probe.engine.label()),
+                        .with_policy(&r.placed_by),
                 );
             }
             outcomes.push(JobOutcome {

@@ -673,8 +673,7 @@ pub fn run_serve(
                 .with_pu(&pu_name)
                 .with_workload(&class_name)
                 .with_region(admission.region_label(done.pu_idx, demand))
-                .with_policy(policy.name())
-                .with_engine(cfg.probe.engine.label());
+                .with_policy(policy.name());
             if let Some(factor) = drift.observe_audited(done.pu_idx, rec) {
                 admission.set_correction(done.pu_idx, factor);
             }

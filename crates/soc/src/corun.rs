@@ -10,7 +10,6 @@ use crate::executor::PuExecutor;
 use crate::kernel::KernelDesc;
 use crate::pressure::pressure_streams_seeded;
 use crate::soc::SocConfig;
-use pccs_dram::engine::EngineKind;
 use pccs_dram::policy::PolicyKind;
 use pccs_dram::request::SourceId;
 use pccs_dram::sim::{DramSystem, SimOutcome};
@@ -44,9 +43,6 @@ pub struct CoRunConfig {
     pub repeats: u32,
     /// Memory-controller scheduling policy.
     pub policy: PolicyKind,
-    /// Which memory-engine driver runs the DRAM model (bit-identical
-    /// results either way; `Event` is the fast path).
-    pub engine: EngineKind,
 }
 
 impl Default for CoRunConfig {
@@ -56,7 +52,6 @@ impl Default for CoRunConfig {
             warmup_fraction: WARMUP_FRACTION,
             repeats: 1,
             policy: PolicyKind::Atlas,
-            engine: EngineKind::Cycle,
         }
     }
 }
@@ -111,12 +106,6 @@ impl CoRunConfig {
     /// Sets the memory-controller policy.
     pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Selects the memory-engine driver.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 }
@@ -319,7 +308,7 @@ impl CoRunSim {
     /// when the co-run executes, the achieved RS is measured against the
     /// profile and the (prediction, ground-truth) pair lands in the
     /// process-global audit ledger ([`pccs_telemetry::audit`]) with this
-    /// simulation's SoC/policy/engine provenance attached. A no-op when
+    /// simulation's SoC/policy provenance attached. A no-op when
     /// the ledger is disabled or the PU ends up with no work placed.
     pub fn expect_rs(
         &mut self,
@@ -354,8 +343,7 @@ impl CoRunSim {
                         .with_pu(&self.soc.pus[pu_idx].name)
                         .with_workload(&e.workload)
                         .with_region(&e.region)
-                        .with_policy(self.config.policy.label())
-                        .with_engine(self.config.engine.label()),
+                        .with_policy(self.config.policy.label()),
                 );
             }
         }
@@ -385,13 +373,6 @@ impl CoRunSim {
     /// Overrides the memory-controller scheduling policy.
     pub fn policy(&mut self, policy: PolicyKind) -> &mut Self {
         self.config.policy = policy;
-        self
-    }
-
-    /// Selects the memory-engine driver (cycle-exact reference or the
-    /// bit-identical event-driven fast path).
-    pub fn engine(&mut self, engine: EngineKind) -> &mut Self {
-        self.config.engine = engine;
         self
     }
 
@@ -520,11 +501,7 @@ impl CoRunSim {
     fn run_once(&self, horizon: u64, warmup: u64, run_seed: u64) -> SimOutcome {
         let _prof = Profiler::scope("sim.rep");
         metrics::add("sim.runs", 1);
-        let mut sys = DramSystem::with_engine(
-            self.soc.dram.clone(),
-            self.config.policy,
-            self.config.engine,
-        );
+        let mut sys = DramSystem::new(self.soc.dram.clone(), self.config.policy);
         if let Some(epoch) = self.epoch {
             sys.set_recorder(Box::new(EpochRecorder::new(epoch)));
         }
@@ -707,32 +684,8 @@ mod tests {
         assert!((cfg.warmup_fraction - WARMUP_FRACTION).abs() < 1e-12);
         assert_eq!(cfg.repeats, 1);
         assert_eq!(cfg.policy, PolicyKind::Atlas);
-        assert_eq!(cfg.engine, EngineKind::Cycle, "cycle engine is the default");
         let probe = CoRunConfig::probe();
         assert!(probe.horizon < cfg.horizon);
-    }
-
-    #[test]
-    fn engines_agree_on_a_full_corun() {
-        let soc = xavier();
-        let gpu = soc.pu_index("GPU").unwrap();
-        let cpu = soc.pu_index("CPU").unwrap();
-        let run = |engine: EngineKind| {
-            let mut sim = CoRunSim::new(&soc);
-            sim.engine(engine);
-            sim.horizon(30_000);
-            sim.place(Placement::kernel(
-                gpu,
-                KernelDesc::memory_streaming("stream", 0.5),
-            ));
-            sim.external_pressure(cpu, 60.0);
-            sim.execute()
-        };
-        let cycle = run(EngineKind::Cycle);
-        let event = run(EngineKind::Event);
-        assert_eq!(cycle.per_pu, event.per_pu, "per-PU rates diverged");
-        assert_eq!(cycle.memory.stats, event.memory.stats, "stats diverged");
-        assert_eq!(cycle.memory.completed, event.memory.completed);
     }
 
     #[test]
@@ -837,7 +790,7 @@ mod tests {
         let r = &recs[0];
         assert_eq!((r.soc.as_str(), r.pu.as_str()), ("xavier", "GPU"));
         assert_eq!((r.region.as_str(), r.unit.as_str()), ("normal", "rs_pct"));
-        assert_eq!((r.policy.as_str(), r.engine.as_str()), ("ATLAS", "cycle"));
+        assert_eq!(r.policy, "ATLAS");
         assert!((r.predicted - 80.0).abs() < 1e-12);
         let achieved = out.relative_speed_pct(gpu, &standalone).unwrap();
         assert!((r.achieved - achieved).abs() < 1e-12);

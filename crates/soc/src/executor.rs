@@ -226,54 +226,6 @@ impl TrafficSource for PuExecutor {
     fn progress(&self) -> u64 {
         self.consumed
     }
-
-    fn next_emit_at(&self, cycle: u64) -> Option<u64> {
-        if self.retry.is_some() {
-            return Some(cycle);
-        }
-        if self.outstanding >= self.window {
-            return None; // Unblocks on a completion — an executed cycle.
-        }
-        let ahead = self.issued - self.consumed;
-        let cap = self.window as u64 + RUNAHEAD_LINES;
-        if ahead < cap {
-            return Some(cycle);
-        }
-        // Runahead-blocked: the gate reopens once enough fetched lines have
-        // *started* compute. Replay the compute engine's pop sequence (the
-        // same arithmetic as `advance_compute`) over the buffered lines to
-        // find when the `need`-th pop begins; `poll` at that cycle observes
-        // the matching `consumed` increment because it advances compute
-        // before checking the gate.
-        let need = ahead - cap + 1;
-        let mut free = self.compute_free;
-        let mut last_start = 0.0_f64;
-        let mut lines = self.pending_data.iter();
-        for _ in 0..need {
-            // Not enough buffered lines: a future completion must land
-            // first, and completions always force an executed cycle.
-            let &ready = lines.next()?;
-            let start = free.max(ready as f64);
-            last_start = start;
-            free = start + self.cycles_per_line;
-        }
-        // A pop whose start is `s` becomes visible to the poll at cycle
-        // floor(s) (advance_compute pops while start < cycle + 1).
-        Some((last_start as u64).max(cycle))
-    }
-
-    fn fast_forward(&mut self, from: u64, to: u64) {
-        if to <= from {
-            return;
-        }
-        debug_assert!(self.retry.is_none(), "fast-forward with a pending retry");
-        // `advance_compute` is call-granularity invariant: one call at the
-        // last skipped cycle performs bit-identical pop/compute_free updates
-        // to calling it at every cycle of the span, so the skipped polls'
-        // only side effect is reproduced exactly.
-        self.last_cycle = Some(to - 1);
-        self.advance_compute(to - 1);
-    }
 }
 
 #[cfg(test)]
@@ -350,31 +302,6 @@ mod tests {
             progress + 2 >= completed,
             "progress {progress} vs completed {completed}"
         );
-    }
-
-    #[test]
-    fn event_engine_matches_cycle_engine_for_pu_traffic() {
-        use pccs_dram::EngineKind;
-        let run = |engine: EngineKind| {
-            let config = xavier_mem();
-            let pu = crate::pu::PuConfig::xavier_gpu();
-            let kernel = KernelDesc::new("mix", 4.0, 0.9, 0.3, 1.0);
-            let mut sys = DramSystem::with_engine(config.clone(), PolicyKind::Atlas, engine);
-            let per_stream = pu.flops_per_mem_cycle(config.clock_mhz) / pu.streams as f64;
-            let mut execs = PuExecutor::streams_for(&pu, &kernel, 0);
-            for e in &mut execs {
-                e.set_compute_rate(per_stream);
-            }
-            for e in execs {
-                sys.add_generator(e);
-            }
-            sys.run_with_warmup(5_000, 30_000)
-        };
-        let cycle = run(EngineKind::Cycle);
-        let event = run(EngineKind::Event);
-        assert_eq!(cycle.stats, event.stats, "MemoryStats diverged");
-        assert_eq!(cycle.completed, event.completed);
-        assert_eq!(cycle.progress, event.progress);
     }
 
     #[test]

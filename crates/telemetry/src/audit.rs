@@ -7,7 +7,7 @@
 //! clock). This module is where the two meet. Every prediction site
 //! resolves its forecast into one [`AuditRecord`] — predicted value,
 //! achieved value, the three-region operating point the prediction came
-//! from, and full SoC/PU/workload/MC-policy/engine provenance — and
+//! from, and full SoC/PU/workload/MC-policy provenance — and
 //! pushes it into a process-global ledger.
 //!
 //! On top of the ledger sit the accuracy scorecards: [`scorecard`] slices
@@ -66,8 +66,6 @@ pub struct AuditRecord {
     pub region: String,
     /// Memory-controller or placement policy label.
     pub policy: String,
-    /// Memory-engine driver ("cycle" or "event").
-    pub engine: String,
     /// What the pair measures: `"rs_pct"` (relative speed, percent) or
     /// `"cycles"` (service time, memory cycles).
     pub unit: String,
@@ -88,7 +86,6 @@ impl AuditRecord {
             workload: "-".to_owned(),
             region: "-".to_owned(),
             policy: "-".to_owned(),
-            engine: "-".to_owned(),
             unit: unit.to_owned(),
             predicted,
             achieved,
@@ -122,12 +119,6 @@ impl AuditRecord {
     /// Sets the policy label, chaining.
     pub fn with_policy(mut self, policy: &str) -> Self {
         self.policy = policy.to_owned();
-        self
-    }
-
-    /// Sets the memory-engine label, chaining.
-    pub fn with_engine(mut self, engine: &str) -> Self {
-        self.engine = engine.to_owned();
         self
     }
 
@@ -168,6 +159,13 @@ pub fn drain() -> Vec<AuditRecord> {
 /// Number of records currently held.
 pub fn len() -> usize {
     ledger().lock().expect("audit ledger poisoned").len()
+}
+
+/// Record slots the ledger has allocated. Zero after a [`drain`] until
+/// the next enabled [`record`], which is how the disabled ledger's
+/// zero-cost claim is checked without a wall clock.
+pub fn capacity() -> usize {
+    ledger().lock().expect("audit ledger poisoned").capacity()
 }
 
 /// Empties the ledger. Used by the audit harness so a scorecard covers
@@ -355,7 +353,6 @@ mod tests {
             .with_pu("GPU")
             .with_region(region)
             .with_policy("ATLAS")
-            .with_engine("cycle")
     }
 
     #[test]

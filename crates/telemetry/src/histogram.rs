@@ -144,18 +144,6 @@ impl LatencyHistogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
-
-    /// Occupied bins as `(range_lo, range_hi, count)` triples, for export.
-    pub fn bins(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(bin, &c)| {
-                let (lo, hi) = bin_range(bin);
-                (lo, hi, c)
-            })
-    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //! The model-observability layer (DESIGN.md §12) adds one more:
 //!
 //! - [`audit`] — process-global prediction-audit ledger of (prediction,
-//!   ground-truth) pairs with SoC/PU/region/policy/engine provenance,
+//!   ground-truth) pairs with SoC/PU/region/policy provenance,
 //!   plus the accuracy scorecards behind `pccs audit`.
 
 mod histogram;

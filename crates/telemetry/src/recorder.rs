@@ -38,7 +38,7 @@ pub enum StallEvent {
 /// Receives simulator events. All hooks default to no-ops so partial
 /// recorders stay small. `Debug` is required so simulator structs holding
 /// a boxed recorder can keep deriving `Debug`; `Send` so those structs
-/// (and boxed memory engines wrapping them) can cross threads.
+/// can cross threads.
 pub trait Recorder: std::fmt::Debug + Send {
     /// A request from `source` completed, moving `bytes` after waiting
     /// `latency` cycles, with row-buffer outcome `row`.
