@@ -309,9 +309,9 @@ fn civil_date(days: i64) -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// The canonical contended co-run: streamcluster on the GPU with 40 GB/s
-/// of CPU pressure.
-fn contended_sim(soc: &SocConfig, horizon: u64) -> CoRunSim {
+/// The canonical contended co-run of the `corun_contended` workload:
+/// streamcluster on the GPU with 40 GB/s of CPU pressure.
+pub fn contended_sim(soc: &SocConfig, horizon: u64) -> CoRunSim {
     let gpu = soc.pu_index("GPU").unwrap_or(0);
     let cpu = soc.pu_index("CPU").unwrap_or(0);
     let kernel = RodiniaBenchmark::Streamcluster.kernel(soc.pus[gpu].kind);
@@ -323,8 +323,7 @@ fn contended_sim(soc: &SocConfig, horizon: u64) -> CoRunSim {
 }
 
 /// Best (minimum) wall-clock seconds for `body` over N repetitions —
-/// the measurement primitive every fixed workload (and the linter's own
-/// timing test) shares.
+/// the measurement primitive every fixed workload shares.
 pub fn best_of<F: FnMut()>(iterations: u64, mut body: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..iterations {

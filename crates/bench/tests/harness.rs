@@ -4,7 +4,10 @@
 //! metrics registry (reset + enable/disable), so concurrent test threads
 //! would race on it.
 
-use pccs_bench::{run_all, validate};
+use pccs_bench::{contended_sim, run_all, validate};
+use pccs_soc::corun::DEFAULT_HORIZON;
+use pccs_soc::SocConfig;
+use pccs_telemetry::metrics;
 
 #[test]
 fn quick_bench_is_schema_valid_deterministic_and_cheap() {
@@ -28,14 +31,27 @@ fn quick_bench_is_schema_valid_deterministic_and_cheap() {
     assert_eq!(names(&first), names(&second));
     assert_eq!(first.schema, second.schema);
 
-    // The registry publishes once per run end, so its overhead on the
-    // co-run workload is well under the 5% budget; the margin here is
-    // generous to absorb shared-CI timing noise.
-    let overhead = first.workloads["corun_contended"].extra["metrics_overhead_pct"];
-    assert!(
-        overhead <= 25.0,
-        "metrics registry overhead {overhead:.2}% exceeds the generous 25% test margin \
-         (budget is 5%)"
+    // The registry overhead stays a reported number; what keeps it small
+    // is that the co-run publishes once per run, never per simulated
+    // cycle. Checked deterministically: the contended co-run makes the
+    // same number of registry writes at two horizons.
+    assert!(first.workloads["corun_contended"].extra["metrics_overhead_pct"].is_finite());
+    let soc = SocConfig::xavier();
+    let writes_over = |horizon: u64| {
+        let sim = contended_sim(&soc, horizon);
+        let before = metrics::writes();
+        let _ = sim.execute();
+        metrics::writes() - before
+    };
+    let short = writes_over(DEFAULT_HORIZON / 8);
+    let long = writes_over(DEFAULT_HORIZON / 2);
+    assert!(short > 0, "the co-run publishes nothing");
+    assert_eq!(
+        short,
+        long,
+        "registry writes grew with simulated cycles ({short} at {} vs {long} at {} cycles)",
+        DEFAULT_HORIZON / 8,
+        DEFAULT_HORIZON / 2
     );
 
     // Throughput numbers exist and are positive.

@@ -87,6 +87,16 @@ impl Bank {
         }
     }
 
+    /// The cycle of the ACTIVATE that any request *not* hitting the open
+    /// row implies when issued at `cycle`: every such request shares it, so
+    /// the controller checks its tRRD / tFAW legality once per bank.
+    pub fn next_act_at(&self, cycle: u64, timing: &DramTiming) -> u64 {
+        match self.open_row {
+            None => cycle,
+            Some(_) => cycle.max(self.ras_done_at) + timing.t_rp,
+        }
+    }
+
     /// What row-buffer outcome a request for `row` would observe now.
     pub fn probe(&self, row: u64) -> RowOutcome {
         match self.open_row {

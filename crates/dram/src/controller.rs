@@ -48,11 +48,39 @@ pub struct Completion {
 }
 
 /// An in-flight request plus its decoded DRAM coordinates. Stored in the
-/// controller-level slab; channel queues hold slot indices into it.
+/// controller-level slab; channel queues and bank lists hold slot indices
+/// into it, and the entry records its position in both.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRequest {
     req: MemoryRequest,
     decoded: DecodedAddr,
+    /// Position in `ChannelState::queue`: the policy's `queue_idx`.
+    queue_pos: u32,
+    /// Position in its bank's `BankQueue::slots`.
+    bank_pos: u32,
+}
+
+/// The queued requests of one bank and the counts the scheduler gates on.
+/// Kept exact on enqueue, issue and refresh, so a scheduling opportunity
+/// never rescans the channel queue.
+#[derive(Debug, Default)]
+struct BankQueue {
+    /// Slab slots of the bank's queued requests, in no particular order.
+    slots: Vec<u32>,
+    /// Queued writes (the rest of `slots` are reads).
+    writes: u32,
+    /// Queued requests for the bank's open row (row hits if issued now).
+    hits: u32,
+}
+
+impl BankQueue {
+    /// Queued requests for `row`, counted from scratch.
+    fn count_row(&self, slab: &[QueuedRequest], row: u64) -> u32 {
+        self.slots
+            .iter()
+            .filter(|&&slot| slab[slot as usize].decoded.row == row)
+            .count() as u32
+    }
 }
 
 #[derive(Debug)]
@@ -62,6 +90,10 @@ struct ChannelState {
     /// `swap_remove` holes — exactly what the policy's `queue_idx` sees.
     queue: Vec<u32>,
     banks: Vec<Bank>,
+    /// The same requests grouped by bank, indexed like `banks`.
+    bank_queues: Vec<BankQueue>,
+    /// Bitmask of the banks with at least one queued request.
+    occupied: u128,
     /// Next cycle at which the channel may issue (data-bus rate pacing).
     next_issue_at: u64,
     /// Next cycle at which an all-bank refresh is due (u64::MAX = never).
@@ -69,6 +101,34 @@ struct ChannelState {
     /// Recent ACTIVATE command timestamps with their bank group, pruned to
     /// the tFAW/tRRD horizon; paces activates per channel.
     acts: Vec<(u64, usize)>,
+}
+
+impl ChannelState {
+    /// Removes the request at `queue_idx` from the queue and from its bank
+    /// list, fixing up the recorded position of whichever entry each
+    /// `swap_remove` moved, and returns its slab slot.
+    fn dequeue(&mut self, slab: &mut [QueuedRequest], queue_idx: usize) -> u32 {
+        let slot = self.queue.swap_remove(queue_idx);
+        if let Some(&moved) = self.queue.get(queue_idx) {
+            slab[moved as usize].queue_pos = queue_idx as u32;
+        }
+        let q = slab[slot as usize];
+        let bank = &mut self.bank_queues[q.decoded.bank];
+        let pos = q.bank_pos as usize;
+        if pos < bank.slots.len() {
+            bank.slots.swap_remove(pos);
+            if let Some(&moved) = bank.slots.get(pos) {
+                slab[moved as usize].bank_pos = pos as u32;
+            }
+        }
+        if q.req.kind == ReqKind::Write {
+            bank.writes = bank.writes.saturating_sub(1);
+        }
+        if bank.slots.is_empty() {
+            self.occupied &= !(1u128 << q.decoded.bank);
+        }
+        slot
+    }
 }
 
 /// Whether an ACTIVATE at `act_at` in `group` respects tRRD_S/L and tFAW
@@ -87,41 +147,18 @@ fn act_is_legal(acts: &[(u64, usize)], act_at: u64, group: usize, timing: &DramT
         }
     }
     if timing.t_faw > 0 && acts.len() >= 4 {
-        let mut all: Vec<u64> = acts.iter().map(|&(a, _)| a).collect();
-        all.push(act_at);
-        all.sort_unstable();
-        for w in all.windows(5) {
-            if w[4] - w[0] < timing.t_faw {
+        // Five ACTs (recorded or prospective) inside one tFAW window. Some
+        // five sorted neighbours span less than tFAW exactly when some ACT
+        // starts a window [t, t + tFAW) that holds five, so no sort (and no
+        // allocation) is needed.
+        let times = || acts.iter().map(|&(a, _)| a).chain(std::iter::once(act_at));
+        for start in times() {
+            let inside = times()
+                .filter(|&t| t >= start && t - start < timing.t_faw)
+                .count();
+            if inside >= 5 {
                 return false;
             }
-        }
-    }
-    true
-}
-
-/// Whether queued request `q` is schedulable on its channel at `cycle`.
-fn is_schedulable(
-    q: &QueuedRequest,
-    channel: &ChannelState,
-    pending_hit: bool,
-    shield_rows: bool,
-    cycle: u64,
-    config: &DramConfig,
-) -> bool {
-    let bank = &channel.banks[q.decoded.bank];
-    if !bank.is_ready_for(q.req.kind, cycle) {
-        return false;
-    }
-    let row_hit = bank.open_row() == Some(q.decoded.row);
-    if shield_rows && !row_hit && pending_hit && bank.hits_since_open() < ROW_STREAK_CAP {
-        return false;
-    }
-    // ACT pacing: a request whose implied ACTIVATE would violate tRRD or
-    // tFAW is not schedulable this cycle.
-    if let Some(act_at) = bank.prospective_act_at(q.decoded.row, cycle, &config.timing) {
-        let group = config.bank_group(q.decoded.bank);
-        if !act_is_legal(&channel.acts, act_at, group, &config.timing) {
-            return false;
         }
     }
     true
@@ -169,6 +206,10 @@ impl MemoryController {
             .map(|_| ChannelState {
                 queue: Vec::with_capacity(config.queue_capacity),
                 banks: (0..config.banks_per_channel).map(|_| Bank::new()).collect(),
+                bank_queues: (0..config.banks_per_channel)
+                    .map(|_| BankQueue::default())
+                    .collect(),
+                occupied: 0,
                 next_issue_at: 0,
                 next_refresh_at: if config.timing.t_refi == 0 {
                     u64::MAX
@@ -275,17 +316,32 @@ impl MemoryController {
         self.stats.source_mut(req.source).enqueued += 1;
         *self.pending_per_source.entry(req.source).or_insert(0) += 1;
         self.policy.on_enqueue(req.source);
+        let bank = &mut channel.bank_queues[decoded.bank];
+        let entry = QueuedRequest {
+            req,
+            decoded,
+            queue_pos: channel.queue.len() as u32,
+            bank_pos: bank.slots.len() as u32,
+        };
         let slot = match self.free_slots.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = QueuedRequest { req, decoded };
+                self.slab[slot as usize] = entry;
                 slot
             }
             None => {
-                self.slab.push(QueuedRequest { req, decoded });
+                self.slab.push(entry);
                 (self.slab.len() - 1) as u32
             }
         };
         channel.queue.push(slot);
+        bank.slots.push(slot);
+        if req.kind == ReqKind::Write {
+            bank.writes += 1;
+        }
+        if channel.banks[decoded.bank].open_row() == Some(decoded.row) {
+            bank.hits += 1;
+        }
+        channel.occupied |= 1u128 << decoded.bank;
         let depth = channel.queue.len() as u64;
         if depth > self.stats.scheduler.queue_hwm {
             self.stats.scheduler.queue_hwm = depth;
@@ -325,17 +381,64 @@ impl MemoryController {
         }
     }
 
-    /// Row-hit shielding precondition: a bitmask of banks that still have
-    /// queued row hits for their open row.
-    fn pending_hit_mask(&self, channel: &ChannelState) -> u128 {
-        let mut mask = 0u128;
-        for &slot in &channel.queue {
-            let q = &self.slab[slot as usize];
-            if channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row) {
-                mask |= 1 << q.decoded.bank;
+    /// Appends the requests of channel `ch_idx` that are schedulable at
+    /// `cycle` to `out`, grouped by bank. The gates are evaluated once per
+    /// occupied bank; only the lists of banks that can issue are visited.
+    fn collect_candidates(&self, ch_idx: usize, cycle: u64, out: &mut Vec<Candidate>) {
+        let channel = &self.channels[ch_idx];
+        let timing = &self.config.timing;
+        // Open-page awareness: while a bank still has queued row hits for
+        // its open row, realistic schedulers do not close that row for a
+        // conflicting request — the pending hits cost tCCD each, the
+        // precharge+activate costs an order of magnitude more. A per-row
+        // hit budget bounds the shielding so conflicting requests cannot
+        // starve (row-hit streak cap, as in real MCs).
+        let shield_rows = self.policy.respects_open_rows();
+        let mut occupied = channel.occupied;
+        while occupied != 0 {
+            let b = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            let bank = &channel.banks[b];
+            let queued = &channel.bank_queues[b];
+            if !bank.is_ready(cycle) {
+                continue;
+            }
+            let read_ready = bank.is_ready_for(ReqKind::Read, cycle);
+            if !read_ready && queued.writes == 0 {
+                continue;
+            }
+            // Every request that misses the open row implies the same
+            // ACTIVATE, so its tRRD/tFAW legality is one gate per bank.
+            let misses = (queued.slots.len() as u32).saturating_sub(queued.hits);
+            let shielded =
+                shield_rows && queued.hits > 0 && bank.hits_since_open() < ROW_STREAK_CAP;
+            let misses_ok = misses > 0
+                && !shielded
+                && act_is_legal(
+                    &channel.acts,
+                    bank.next_act_at(cycle, timing),
+                    self.config.bank_group(b),
+                    timing,
+                );
+            if queued.hits == 0 && !misses_ok {
+                continue;
+            }
+            let open_row = bank.open_row();
+            for &slot in &queued.slots {
+                let q = &self.slab[slot as usize];
+                let row_hit = open_row == Some(q.decoded.row);
+                if (row_hit || misses_ok) && (read_ready || q.req.kind != ReqKind::Read) {
+                    out.push(Candidate {
+                        queue_idx: q.queue_pos as usize,
+                        source: q.req.source,
+                        row_hit,
+                        arrival: q.req.arrival,
+                        bank: b,
+                        row: q.decoded.row,
+                    });
+                }
             }
         }
-        mask
     }
 
     fn schedule_channel(&mut self, ch_idx: usize, cycle: u64) {
@@ -387,6 +490,10 @@ impl MemoryController {
                 for bank in &mut channel.banks {
                     bank.refresh_until(ref_at + t_rfc);
                 }
+                // Refresh closes every row: no queued request hits any more.
+                for queued in &mut channel.bank_queues {
+                    queued.hits = 0;
+                }
                 channel.next_refresh_at = channel.next_refresh_at.saturating_add(t_refi);
             }
         }
@@ -410,35 +517,9 @@ impl MemoryController {
 
         let mut candidates = std::mem::take(&mut self.cand_scratch);
         candidates.clear();
-        {
-            let channel = &self.channels[ch_idx];
-            // Open-page awareness: while a bank still has queued row hits
-            // for its open row, realistic schedulers do not close that row
-            // for a conflicting request — the pending hits cost tCCD each,
-            // the precharge+activate costs an order of magnitude more. A
-            // per-row hit budget bounds the shielding so conflicting
-            // requests cannot starve (row-hit streak cap, as in real MCs).
-            let shield_rows = self.policy.respects_open_rows();
-            let pending_hits = if shield_rows {
-                self.pending_hit_mask(channel)
-            } else {
-                0
-            };
-            for (i, &slot) in channel.queue.iter().enumerate() {
-                let q = &self.slab[slot as usize];
-                let pending_hit = pending_hits >> q.decoded.bank & 1 != 0;
-                if is_schedulable(q, channel, pending_hit, shield_rows, cycle, &self.config) {
-                    candidates.push(Candidate {
-                        queue_idx: i,
-                        source: q.req.source,
-                        row_hit: channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row),
-                        arrival: q.req.arrival,
-                        bank: q.decoded.bank,
-                        row: q.decoded.row,
-                    });
-                }
-            }
-        }
+        self.collect_candidates(ch_idx, cycle, &mut candidates);
+        #[cfg(test)]
+        reference::check(self, ch_idx, cycle, &candidates);
         if candidates.is_empty() {
             self.cand_scratch = candidates;
             self.stats.scheduler.no_candidate += 1;
@@ -463,7 +544,7 @@ impl MemoryController {
         };
 
         let channel = &mut self.channels[ch_idx];
-        let slot = channel.queue.swap_remove(queue_idx);
+        let slot = channel.dequeue(&mut self.slab, queue_idx);
         let q = self.slab[slot as usize];
         self.free_slots.push(slot);
         let issue = channel.banks[q.decoded.bank].issue(
@@ -473,6 +554,13 @@ impl MemoryController {
             &self.config.timing,
             burst,
         );
+        let queued = &mut channel.bank_queues[q.decoded.bank];
+        queued.hits = if issue.outcome == RowOutcome::Hit {
+            queued.hits.saturating_sub(1)
+        } else {
+            // A new row opened: recount the bank's list against it.
+            queued.count_row(&self.slab, q.decoded.row)
+        };
         let finish = issue.data_ready + burst;
         channel.next_issue_at = cycle + burst;
         if let Some(act_at) = issue.act_at {
@@ -536,10 +624,174 @@ impl MemoryController {
     }
 }
 
+/// The full-queue rescan that the incremental per-bank state replaced,
+/// kept as the differential oracle: in test builds every candidate
+/// collection is checked against it.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// `act_is_legal` as first written: sorts every recorded ACT time.
+    fn act_is_legal(acts: &[(u64, usize)], act_at: u64, group: usize, timing: &DramTiming) -> bool {
+        for &(a, g) in acts {
+            let need = if g == group {
+                timing.t_rrd_l
+            } else {
+                timing.t_rrd_s
+            };
+            if need > 0 && act_at.abs_diff(a) < need {
+                return false;
+            }
+        }
+        if timing.t_faw > 0 && acts.len() >= 4 {
+            let mut all: Vec<u64> = acts.iter().map(|&(a, _)| a).collect();
+            all.push(act_at);
+            all.sort_unstable();
+            for w in all.windows(5) {
+                if w[4] - w[0] < timing.t_faw {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// A bitmask of banks that still have queued row hits for their open
+    /// row.
+    fn pending_hit_mask(mc: &MemoryController, channel: &ChannelState) -> u128 {
+        let mut mask = 0u128;
+        for &slot in &channel.queue {
+            let q = &mc.slab[slot as usize];
+            if channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row) {
+                mask |= 1 << q.decoded.bank;
+            }
+        }
+        mask
+    }
+
+    /// Whether queued request `q` is schedulable on its channel at `cycle`.
+    fn is_schedulable(
+        q: &QueuedRequest,
+        channel: &ChannelState,
+        pending_hit: bool,
+        shield_rows: bool,
+        cycle: u64,
+        config: &DramConfig,
+    ) -> bool {
+        let bank = &channel.banks[q.decoded.bank];
+        if !bank.is_ready_for(q.req.kind, cycle) {
+            return false;
+        }
+        let row_hit = bank.open_row() == Some(q.decoded.row);
+        if shield_rows && !row_hit && pending_hit && bank.hits_since_open() < ROW_STREAK_CAP {
+            return false;
+        }
+        if let Some(act_at) = bank.prospective_act_at(q.decoded.row, cycle, &config.timing) {
+            let group = config.bank_group(q.decoded.bank);
+            if !act_is_legal(&channel.acts, act_at, group, &config.timing) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The rescan's candidate set as sorted `(queue_idx, row_hit)` pairs.
+    pub(super) fn candidates(
+        mc: &MemoryController,
+        ch_idx: usize,
+        cycle: u64,
+    ) -> Vec<(usize, bool)> {
+        let channel = &mc.channels[ch_idx];
+        let shield_rows = mc.policy.respects_open_rows();
+        let pending_hits = if shield_rows {
+            pending_hit_mask(mc, channel)
+        } else {
+            0
+        };
+        let mut out = Vec::new();
+        for (i, &slot) in channel.queue.iter().enumerate() {
+            let q = &mc.slab[slot as usize];
+            let pending_hit = pending_hits >> q.decoded.bank & 1 != 0;
+            if is_schedulable(q, channel, pending_hit, shield_rows, cycle, &mc.config) {
+                let row_hit = channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row);
+                out.push((i, row_hit));
+            }
+        }
+        out
+    }
+
+    /// Panics unless `candidates` is the rescan's candidate set and every
+    /// per-bank list, count and recorded position of channel `ch_idx`
+    /// equals a from-scratch recount.
+    pub(super) fn check(
+        mc: &MemoryController,
+        ch_idx: usize,
+        cycle: u64,
+        candidates: &[Candidate],
+    ) {
+        let channel = &mc.channels[ch_idx];
+        let mut got: Vec<(usize, bool)> = candidates
+            .iter()
+            .map(|c| (c.queue_idx, c.row_hit))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            self::candidates(mc, ch_idx, cycle),
+            "candidate sets differ on channel {ch_idx} at cycle {cycle}"
+        );
+        for c in candidates {
+            let q = &mc.slab[channel.queue[c.queue_idx] as usize];
+            assert_eq!(
+                (c.source, c.arrival, c.bank, c.row),
+                (q.req.source, q.req.arrival, q.decoded.bank, q.decoded.row)
+            );
+        }
+
+        // (len, writes, hits) per bank, recounted from the queue.
+        let mut recount = vec![(0u32, 0u32, 0u32); channel.banks.len()];
+        for (pos, &slot) in channel.queue.iter().enumerate() {
+            let q = &mc.slab[slot as usize];
+            assert_eq!(q.queue_pos as usize, pos, "stale queue position");
+            let r = &mut recount[q.decoded.bank];
+            r.0 += 1;
+            if q.req.kind == ReqKind::Write {
+                r.1 += 1;
+            }
+            if channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row) {
+                r.2 += 1;
+            }
+        }
+        let mut occupied = 0u128;
+        for (b, queued) in channel.bank_queues.iter().enumerate() {
+            let (len, writes, hits) = recount[b];
+            assert_eq!(
+                (queued.slots.len() as u32, queued.writes, queued.hits),
+                (len, writes, hits),
+                "bank {b} counts drifted on channel {ch_idx} at cycle {cycle}"
+            );
+            // Right length, and every entry is a queued request of this
+            // bank at its recorded position: the lists partition the queue.
+            for (pos, &slot) in queued.slots.iter().enumerate() {
+                let q = &mc.slab[slot as usize];
+                assert_eq!((q.decoded.bank, q.bank_pos as usize), (b, pos));
+                assert_eq!(channel.queue.get(q.queue_pos as usize), Some(&slot));
+            }
+            if len > 0 {
+                occupied |= 1 << b;
+            }
+        }
+        assert_eq!(channel.occupied, occupied, "occupied-bank mask drifted");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::PolicyKind;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn controller(kind: PolicyKind) -> MemoryController {
         MemoryController::new(DramConfig::cmp_study(), kind.instantiate())
@@ -704,5 +956,61 @@ mod tests {
         // The last request waited for three predecessors.
         assert!(s.max_latency > s.avg_latency() as u64 / 2);
         assert!(s.max_latency >= 3 * mc.config().burst_cycles());
+    }
+
+    proptest! {
+        /// Differential oracle: random bursty traffic over random
+        /// geometries and every policy. Each candidate collection inside
+        /// `tick_into` is checked against the full-queue rescan, and every
+        /// per-bank list and count against a recount (`reference::check`).
+        #[test]
+        fn incremental_candidates_match_the_full_rescan(
+            channels in 1usize..=8,
+            banks in 2usize..=16,
+            write_pct in 0u32..=50,
+            refresh in any::<bool>(),
+            policy in 0usize..5,
+            capacity in 4usize..=48,
+            seed in any::<u64>(),
+        ) {
+            let mut config = DramConfig::cmp_study();
+            config.channels = channels;
+            config.banks_per_channel = banks;
+            config.queue_capacity = capacity;
+            // Refresh on runs past its first deadline.
+            let horizon = if refresh {
+                config.timing.t_refi + 1_000
+            } else {
+                config.timing.t_refi = 0;
+                4_000
+            };
+            let kind = PolicyKind::all()[policy];
+            let mut mc = MemoryController::new(config, kind.instantiate());
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut done = Vec::new();
+            let mut id = 0u64;
+            for cycle in 0..horizon {
+                for _ in 0..rng.gen_range(0..=channels) {
+                    // Mostly a small footprint (row hits and conflicts),
+                    // sometimes a far line (misses).
+                    let line = if rng.gen_bool(0.8) {
+                        rng.gen_range(0..2_048u64)
+                    } else {
+                        rng.gen_range(0..1u64 << 22)
+                    };
+                    let source = SourceId(rng.gen_range(0..4usize));
+                    let mut req = MemoryRequest::read(id, source, line * 64, cycle);
+                    if rng.gen_range(0..100u32) < write_pct {
+                        req.kind = ReqKind::Write;
+                    }
+                    id += 1;
+                    let _ = mc.try_enqueue(req);
+                }
+                mc.tick_into(cycle, &mut done);
+                done.clear();
+            }
+            let sched = &mc.stats().scheduler;
+            prop_assert!(sched.issued > 0 && sched.no_candidate > 0, "{sched:?}");
+        }
     }
 }

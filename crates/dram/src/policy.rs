@@ -24,6 +24,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// One issuable request presented to a scheduling policy.
+///
+/// A channel's candidates arrive in no particular order (the controller
+/// currently groups them by bank). `(arrival, queue_idx)` is unique among
+/// them, and every built-in policy breaks its final tie on it, so its pick
+/// does not depend on the order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Index of the request in the channel queue (returned by `choose`).
@@ -64,6 +69,11 @@ pub trait SchedulingPolicy: fmt::Debug + Send {
     /// Picks the index (into `input.candidates`) of the request to issue,
     /// or `None` to idle this opportunity. An empty candidate list must
     /// return `None`.
+    ///
+    /// The order of `input.candidates` is unspecified. A policy should
+    /// break its final tie on `(arrival, queue_idx)`, which is unique per
+    /// candidate, so that permuting the slice does not change which
+    /// request (by `queue_idx`) it picks.
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize>;
 
     /// Notification: a request from `source` entered the queue.
@@ -150,20 +160,14 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-fn oldest(cands: &[Candidate]) -> Option<usize> {
+/// Index of the candidate with the smallest `key`, in one pass. Every
+/// built-in policy ends its key with `(arrival, queue_idx)`, so the pick is
+/// independent of candidate order.
+fn pick_min<K: Ord>(cands: &[Candidate], key: impl Fn(&Candidate) -> K) -> Option<usize> {
     cands
         .iter()
         .enumerate()
-        .min_by_key(|(_, c)| (c.arrival, c.queue_idx))
-        .map(|(i, _)| i)
-}
-
-fn oldest_where<F: Fn(&Candidate) -> bool>(cands: &[Candidate], pred: F) -> Option<usize> {
-    cands
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| pred(c))
-        .min_by_key(|(_, c)| (c.arrival, c.queue_idx))
+        .min_by_key(|(_, c)| key(c))
         .map(|(i, _)| i)
 }
 
@@ -188,7 +192,7 @@ impl SchedulingPolicy for Fcfs {
     }
 
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        oldest(input.candidates)
+        pick_min(input.candidates, |c| (c.arrival, c.queue_idx))
     }
 
     fn respects_open_rows(&self) -> bool {
@@ -216,7 +220,7 @@ impl SchedulingPolicy for FrFcfs {
     }
 
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        oldest_where(input.candidates, |c| c.row_hit).or_else(|| oldest(input.candidates))
+        pick_min(input.candidates, |c| (!c.row_hit, c.arrival, c.queue_idx))
     }
 }
 
@@ -314,28 +318,22 @@ impl SchedulingPolicy for Atlas {
     }
 
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        let cands = input.candidates;
-        if cands.is_empty() {
-            return None;
-        }
-        // (1) Over-threshold requests, oldest first.
-        if let Some(i) = oldest_where(cands, |c| {
-            input.cycle.saturating_sub(c.arrival) > self.threshold_cycles
-        }) {
-            return Some(i);
-        }
-        // (2) Best-ranked (least-attained-service) source among candidates;
-        // ranks are fixed within the epoch.
-        let best_rank = cands.iter().map(|c| self.rank_of(c.source)).min()?;
-        let pool: Vec<Candidate> = cands
-            .iter()
-            .copied()
-            .filter(|c| self.rank_of(c.source) == best_rank)
-            .collect();
-        // (3) Row-hit first, (4) oldest, within that source class.
-        let pick = oldest_where(&pool, |c| c.row_hit).or_else(|| oldest(&pool))?;
-        let chosen = pool[pick];
-        cands.iter().position(|c| c.queue_idx == chosen.queue_idx)
+        // (1) Over-threshold requests, oldest first; otherwise (2) the
+        // best-ranked (least-attained-service) source — ranks are fixed
+        // within the epoch — then (3) row hit, (4) oldest.
+        pick_min(input.candidates, |c| {
+            if input.cycle.saturating_sub(c.arrival) > self.threshold_cycles {
+                (false, 0, false, c.arrival, c.queue_idx)
+            } else {
+                (
+                    true,
+                    self.rank_of(c.source),
+                    !c.row_hit,
+                    c.arrival,
+                    c.queue_idx,
+                )
+            }
+        })
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
@@ -462,31 +460,16 @@ impl SchedulingPolicy for Tcm {
     }
 
     fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        let cands = input.candidates;
-        if cands.is_empty() {
-            return None;
-        }
-        // (1) Latency-sensitive cluster first.
-        let latency: Vec<Candidate> = cands
-            .iter()
-            .copied()
-            .filter(|c| self.is_latency_sensitive(c.source))
-            .collect();
-        let pool: Vec<Candidate> = if !latency.is_empty() {
-            latency
-        } else {
-            // (2) Highest-ranked bandwidth-cluster source.
-            let best_rank = cands.iter().map(|c| self.rank_of(c.source)).min()?;
-            cands
-                .iter()
-                .copied()
-                .filter(|c| self.rank_of(c.source) == best_rank)
-                .collect()
-        };
-        // (3) Row hit, (4) oldest.
-        let pick = oldest_where(&pool, |c| c.row_hit).or_else(|| oldest(&pool))?;
-        let chosen = pool[pick];
-        cands.iter().position(|c| c.queue_idx == chosen.queue_idx)
+        // (1) Latency-sensitive cluster first, else (2) the highest-ranked
+        // bandwidth-cluster source; then (3) row hit, (4) oldest.
+        pick_min(input.candidates, |c| {
+            let class = if self.is_latency_sensitive(c.source) {
+                (false, 0)
+            } else {
+                (true, self.rank_of(c.source))
+            };
+            (class, !c.row_hit, c.arrival, c.queue_idx)
+        })
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
@@ -523,6 +506,9 @@ pub struct Sms {
     pub p_shortest: f64,
     round_robin_next: usize,
     rng: SmallRng,
+    /// Reusable buffer of the distinct candidate sources (round-robin
+    /// stage), so choosing never allocates in steady state.
+    sources: Vec<SourceId>,
 }
 
 impl Sms {
@@ -536,6 +522,7 @@ impl Sms {
             p_shortest,
             round_robin_next: 0,
             rng: SmallRng::seed_from_u64(seed),
+            sources: Vec::new(),
         }
     }
 }
@@ -556,33 +543,28 @@ impl SchedulingPolicy for Sms {
         if cands.is_empty() {
             return None;
         }
-        let mut sources: Vec<SourceId> = cands.iter().map(|c| c.source).collect();
-        sources.sort_unstable();
-        sources.dedup();
-
         let target = if self.rng.gen_bool(self.p_shortest) {
             // Shortest job first: least pending work controller-wide.
-            // `sources` is non-empty (candidates were), so the min exists;
-            // `?` keeps the no-candidate contract without a panic path.
-            sources
+            // `cands` is non-empty, so the min exists; `?` keeps the
+            // no-candidate contract without a panic path.
+            cands
                 .iter()
-                .copied()
+                .map(|c| c.source)
                 .min_by_key(|s| (input.pending_per_source.get(s).copied().unwrap_or(0), *s))?
         } else {
-            // Round-robin across currently present sources.
-            let idx = self.round_robin_next % sources.len();
+            // Round-robin across currently present sources, in id order.
+            self.sources.clear();
+            self.sources.extend(cands.iter().map(|c| c.source));
+            self.sources.sort_unstable();
+            self.sources.dedup();
+            let idx = self.round_robin_next % self.sources.len();
             self.round_robin_next = self.round_robin_next.wrapping_add(1);
-            sources[idx]
+            self.sources[idx]
         };
-
-        let pool: Vec<Candidate> = cands
-            .iter()
-            .copied()
-            .filter(|c| c.source == target)
-            .collect();
-        let pick = oldest_where(&pool, |c| c.row_hit).or_else(|| oldest(&pool))?;
-        let chosen = pool[pick];
-        cands.iter().position(|c| c.queue_idx == chosen.queue_idx)
+        // Within the target source: row hit, then oldest.
+        pick_min(cands, |c| {
+            (c.source != target, !c.row_hit, c.arrival, c.queue_idx)
+        })
     }
 }
 
@@ -775,6 +757,56 @@ mod tests {
         let first = p.choose(&input(10, &cands, &pending)).unwrap();
         let second = p.choose(&input(11, &cands, &pending)).unwrap();
         assert_ne!(cands[first].source, cands[second].source);
+    }
+
+    #[test]
+    fn every_policy_pick_is_independent_of_candidate_order() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let pending: BTreeMap<SourceId, usize> = (0..4).map(|s| (SourceId(s), 4 - s)).collect();
+        for kind in PolicyKind::all() {
+            // Two instances with the same (default) seed and history: one
+            // sees the candidates as built, the other a shuffled copy.
+            let (mut a, mut b) = (kind.instantiate(), kind.instantiate());
+            for p in [&mut a, &mut b] {
+                for s in 0..4 {
+                    p.on_enqueue(SourceId(s));
+                    for _ in 0..=s * 10 {
+                        p.on_served(SourceId(s), 64);
+                    }
+                }
+            }
+            for round in 0..400u64 {
+                let cycle = 3_000 + round * 37;
+                a.on_cycle(cycle);
+                b.on_cycle(cycle);
+                // Coarse arrivals force ties that only `queue_idx` breaks;
+                // some are past ATLAS's starvation threshold.
+                let cands: Vec<Candidate> = (0..rng.gen_range(1..12usize))
+                    .map(|i| {
+                        let age = rng.gen_range(0..30u64) * 100;
+                        cand(
+                            i * 3,
+                            rng.gen_range(0..4usize),
+                            rng.gen_bool(0.5),
+                            cycle - age,
+                        )
+                    })
+                    .collect();
+                let mut shuffled = cands.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, rng.gen_range(0..=i));
+                }
+                let pick_a = a.choose(&input(cycle, &cands, &pending)).map(|i| cands[i]);
+                let pick_b = b
+                    .choose(&input(cycle, &shuffled, &pending))
+                    .map(|i| shuffled[i]);
+                assert_eq!(pick_a, pick_b, "{kind} round {round}");
+                if let Some(c) = pick_a {
+                    a.on_served(c.source, 64);
+                    b.on_served(c.source, 64);
+                }
+            }
+        }
     }
 
     #[test]

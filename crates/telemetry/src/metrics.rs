@@ -24,6 +24,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
+/// Publish calls that reached the registry; see [`writes`].
+static WRITES: AtomicU64 = AtomicU64::new(0);
+
 fn registry() -> &'static Mutex<BTreeMap<String, Arc<AtomicU64>>> {
     static REGISTRY: OnceLock<Mutex<BTreeMap<String, Arc<AtomicU64>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
@@ -50,6 +53,14 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+/// How many counter adds and gauge observations reached the registry
+/// since the process started (calls made while it was off do not count).
+/// Not itself a metric: it is the deterministic cost of publication,
+/// which must not grow with simulated cycles.
+pub fn writes() -> u64 {
+    WRITES.load(Ordering::Relaxed)
+}
+
 /// A handle to a monotonic counter. Cheap to clone; increments are relaxed
 /// atomic adds with no lock. Acquire once, publish many times.
 #[derive(Debug, Clone)]
@@ -59,6 +70,7 @@ impl Counter {
     /// Adds `delta` to the counter.
     pub fn add(&self, delta: u64) {
         if is_enabled() {
+            WRITES.fetch_add(1, Ordering::Relaxed);
             self.0.fetch_add(delta, Ordering::Relaxed);
         }
     }
@@ -83,6 +95,7 @@ impl Gauge {
     /// Raises the gauge to `value` if it is above the current watermark.
     pub fn observe(&self, value: u64) {
         if is_enabled() {
+            WRITES.fetch_add(1, Ordering::Relaxed);
             self.0.fetch_max(value, Ordering::Relaxed);
         }
     }
