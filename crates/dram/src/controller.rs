@@ -29,7 +29,7 @@ use crate::stats::MemoryStats;
 use crate::timing::{DramTiming, RowOutcome};
 use pccs_telemetry::{Recorder, RowEvent, StallEvent, TelemetryReport};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Maximum row-hit streak an open row may serve while shielded from
 /// closure by pending hits (starvation control for conflicting requests).
@@ -180,7 +180,8 @@ pub struct MemoryController {
     /// allocation on the hot path).
     cand_scratch: Vec<Candidate>,
     stats: MemoryStats,
-    pending_per_source: BTreeMap<SourceId, usize>,
+    /// Queued requests per source, indexed by `SourceId.0`.
+    pending_per_source: Vec<usize>,
     completions: BinaryHeap<Reverse<(u64, u64, usize)>>,
     /// Optional telemetry sink; `None` costs one branch per hook site.
     recorder: Option<Box<dyn Recorder>>,
@@ -233,7 +234,7 @@ impl MemoryController {
             free_slots: Vec::new(),
             cand_scratch: Vec::new(),
             stats: MemoryStats::new(),
-            pending_per_source: BTreeMap::new(),
+            pending_per_source: Vec::new(),
             completions: BinaryHeap::new(),
             recorder: None,
             conformance: None,
@@ -296,7 +297,7 @@ impl MemoryController {
 
     /// Number of queued requests for one source.
     pub fn pending_for(&self, source: SourceId) -> usize {
-        self.pending_per_source.get(&source).copied().unwrap_or(0)
+        self.pending_per_source.get(source.0).copied().unwrap_or(0)
     }
 
     /// Attempts to enqueue a request; returns it back if the target
@@ -314,7 +315,7 @@ impl MemoryController {
             return Err(req);
         }
         self.stats.source_mut(req.source).enqueued += 1;
-        *self.pending_per_source.entry(req.source).or_insert(0) += 1;
+        *req.source.slot(&mut self.pending_per_source, 0) += 1;
         self.policy.on_enqueue(req.source);
         let bank = &mut channel.bank_queues[decoded.bank];
         let entry = QueuedRequest {
@@ -602,7 +603,7 @@ impl MemoryController {
             });
         }
 
-        if let Some(n) = self.pending_per_source.get_mut(&q.req.source) {
+        if let Some(n) = self.pending_per_source.get_mut(q.req.source.0) {
             *n = n.saturating_sub(1);
         }
         self.policy.on_served(q.req.source, u64::from(q.req.bytes));

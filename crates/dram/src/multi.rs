@@ -15,7 +15,7 @@ use crate::conformance::ConformanceReport;
 use crate::controller::{Completion, MemoryController};
 use crate::policy::PolicyKind;
 use crate::request::{MemoryRequest, SourceId};
-use crate::sim::{MeasureWindow, SimOutcome};
+use crate::sim::{completion_routes, deliver, MeasureWindow, SimOutcome};
 use crate::stats::MemoryStats;
 use crate::traffic::TrafficSource;
 use pccs_telemetry::{EpochRecorder, TelemetryReport};
@@ -104,6 +104,7 @@ impl MultiMcSystem {
             ..
         } = self;
         let mc_count = mcs.len();
+        let routes = completion_routes(&generators);
         let mut buf: Vec<Completion> = Vec::new();
         for now in 0..horizon {
             for generator in &mut generators {
@@ -123,14 +124,7 @@ impl MultiMcSystem {
             for mc in &mut mcs {
                 buf.clear();
                 mc.tick_into(now, &mut buf);
-                for completion in &buf {
-                    for generator in &mut generators {
-                        if generator.source_id() == completion.source {
-                            generator.on_complete(completion);
-                            break;
-                        }
-                    }
-                }
+                deliver(&routes, &mut generators, &buf);
             }
         }
 

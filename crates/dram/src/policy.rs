@@ -14,13 +14,14 @@
 //! the *issuable* candidates of a channel (requests whose bank is free).
 //! Policies keep their own per-source state (attained service, intensity,
 //! cluster membership) and are notified of enqueue/serve events by the
-//! controller.
+//! controller. Source ids are small dense integers, so that state lives in
+//! tables indexed by `SourceId.0`; an id past a table's end reads as a
+//! source the policy has never seen.
 
 use crate::request::SourceId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One issuable request presented to a scheduling policy.
@@ -53,8 +54,9 @@ pub struct ScheduleInput<'a> {
     /// Issuable requests (banks free) in this channel.
     pub candidates: &'a [Candidate],
     /// Number of pending (queued, not yet served) requests per source across
-    /// the whole controller; used by SMS's shortest-job-first stage.
-    pub pending_per_source: &'a BTreeMap<SourceId, usize>,
+    /// the whole controller, indexed by `SourceId.0` (ids past the end have
+    /// none); used by SMS's shortest-job-first stage.
+    pub pending_per_source: &'a [usize],
 }
 
 /// A memory-request scheduling discipline.
@@ -243,9 +245,12 @@ pub struct Atlas {
     pub epoch_cycles: u64,
     /// EMA weight on history at quantum boundaries (ATLAS's alpha).
     pub alpha: f64,
-    service_current: BTreeMap<SourceId, f64>,
-    service_total: BTreeMap<SourceId, f64>,
-    rank: BTreeMap<SourceId, usize>,
+    /// `(current quantum, long-term total)` attained service per source,
+    /// `None` for ids never seen.
+    service: Vec<Option<(f64, f64)>>,
+    /// This epoch's rank per source; sources first seen after the last
+    /// recomputation (or past the end) rank 0.
+    rank: Vec<usize>,
     next_quantum: u64,
     next_epoch: u64,
 }
@@ -260,9 +265,8 @@ impl Atlas {
             quantum_cycles,
             epoch_cycles,
             alpha,
-            service_current: BTreeMap::new(),
-            service_total: BTreeMap::new(),
-            rank: BTreeMap::new(),
+            service: Vec::new(),
+            rank: Vec::new(),
             next_quantum: quantum_cycles,
             next_epoch: 0,
         }
@@ -270,33 +274,39 @@ impl Atlas {
 
     /// Long-term attained service of a source (for tests/inspection).
     pub fn attained_service(&self, source: SourceId) -> f64 {
-        self.service_total.get(&source).copied().unwrap_or(0.0)
-            + self.service_current.get(&source).copied().unwrap_or(0.0)
+        match self.service.get(source.0) {
+            Some(&Some((current, total))) => total + current,
+            _ => 0.0,
+        }
     }
 
     /// Rank of a source at the current epoch (0 = highest priority);
     /// unknown sources get top priority, as in the original (new threads
     /// have attained no service yet).
     fn rank_of(&self, source: SourceId) -> usize {
-        self.rank.get(&source).copied().unwrap_or(0)
+        self.rank.get(source.0).copied().unwrap_or(0)
     }
 
     fn recompute_ranks(&mut self) {
         let mut by_service: Vec<(SourceId, f64)> = self
-            .service_current
-            .keys()
-            .chain(self.service_total.keys())
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .map(|s| (s, self.attained_service(s)))
+            .service
+            .iter()
+            .enumerate()
+            .filter_map(|(s, entry)| entry.map(|(current, total)| (SourceId(s), total + current)))
             .collect();
         by_service.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.rank = by_service
-            .into_iter()
-            .enumerate()
-            .map(|(r, (s, _))| (s, r))
-            .collect();
+        self.rank.clear();
+        self.rank.resize(self.service.len(), 0);
+        for (r, (s, _)) in by_service.into_iter().enumerate() {
+            self.rank[s.0] = r;
+        }
+    }
+
+    /// The service entry of `source`, created (zeroed) on first sight.
+    fn service_of(&mut self, source: SourceId) -> &mut (f64, f64) {
+        source
+            .slot(&mut self.service, None)
+            .get_or_insert((0.0, 0.0))
     }
 }
 
@@ -337,11 +347,11 @@ impl SchedulingPolicy for Atlas {
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
-        self.service_current.entry(source).or_insert(0.0);
+        self.service_of(source);
     }
 
     fn on_served(&mut self, source: SourceId, bytes: u64) {
-        *self.service_current.entry(source).or_insert(0.0) += bytes as f64;
+        self.service_of(source).0 += bytes as f64;
     }
 
     fn on_cycle(&mut self, cycle: u64) {
@@ -350,8 +360,7 @@ impl SchedulingPolicy for Atlas {
             self.next_epoch = cycle + self.epoch_cycles;
         }
         if cycle >= self.next_quantum {
-            for (src, cur) in self.service_current.iter_mut() {
-                let total = self.service_total.entry(*src).or_insert(0.0);
+            for (cur, total) in self.service.iter_mut().flatten() {
                 *total = self.alpha * *total + (1.0 - self.alpha) * *cur;
                 *cur = 0.0;
             }
@@ -376,9 +385,14 @@ pub struct Tcm {
     /// Fraction of total attained bandwidth allowed into the
     /// latency-sensitive cluster (the original ClusterThresh, default 4/24).
     pub cluster_thresh: f64,
-    served_current: BTreeMap<SourceId, u64>,
-    latency_cluster: Vec<SourceId>,
+    /// Requests served this quantum per source, `None` for ids never seen.
+    served_current: Vec<Option<u64>>,
+    /// The bandwidth-sensitive cluster in (shuffled) rank order.
     bw_rank: Vec<SourceId>,
+    /// Per-source priority class, `(bandwidth cluster?, rank)`, rebuilt on
+    /// every re-clustering and shuffle. Sources clustered nowhere yet (or
+    /// past the end) read [`Tcm::UNCLUSTERED`].
+    class: Vec<(bool, usize)>,
     next_quantum: u64,
     next_shuffle: u64,
     rng: SmallRng,
@@ -396,44 +410,55 @@ impl Tcm {
             quantum_cycles,
             shuffle_cycles,
             cluster_thresh,
-            served_current: BTreeMap::new(),
-            latency_cluster: Vec::new(),
+            served_current: Vec::new(),
             bw_rank: Vec::new(),
+            class: Vec::new(),
             next_quantum: quantum_cycles,
             next_shuffle: shuffle_cycles,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
-    fn is_latency_sensitive(&self, source: SourceId) -> bool {
-        self.latency_cluster.contains(&source)
-    }
+    /// Class of a source in neither cluster: behind every ranked source.
+    const UNCLUSTERED: (bool, usize) = (true, usize::MAX);
+    /// Class of a latency-sensitive source: ahead of the bandwidth cluster.
+    const LATENCY: (bool, usize) = (false, 0);
 
-    fn rank_of(&self, source: SourceId) -> usize {
-        self.bw_rank
-            .iter()
-            .position(|&s| s == source)
-            .unwrap_or(usize::MAX)
+    fn class_of(&self, source: SourceId) -> (bool, usize) {
+        self.class
+            .get(source.0)
+            .copied()
+            .unwrap_or(Self::UNCLUSTERED)
     }
 
     fn reform_clusters(&mut self) {
-        let total: u64 = self.served_current.values().sum();
-        let mut by_intensity: Vec<(SourceId, u64)> =
-            self.served_current.iter().map(|(&s, &v)| (s, v)).collect();
+        let total: u64 = self.served_current.iter().flatten().sum();
+        let mut by_intensity: Vec<(SourceId, u64)> = self
+            .served_current
+            .iter()
+            .enumerate()
+            .filter_map(|(s, v)| v.map(|v| (SourceId(s), v)))
+            .collect();
         by_intensity.sort_by_key(|&(s, v)| (v, s));
-        self.latency_cluster.clear();
         self.bw_rank.clear();
+        self.class.clear();
+        self.class
+            .resize(self.served_current.len(), Self::UNCLUSTERED);
         let budget = (total as f64 * self.cluster_thresh) as u64;
         let mut used = 0u64;
         for (src, v) in by_intensity {
             if used + v <= budget {
                 used += v;
-                self.latency_cluster.push(src);
+                self.class[src.0] = Self::LATENCY;
             } else {
                 self.bw_rank.push(src);
             }
         }
-        self.served_current.values_mut().for_each(|v| *v = 0);
+        self.rank_bandwidth_cluster();
+        self.served_current
+            .iter_mut()
+            .flatten()
+            .for_each(|v| *v = 0);
     }
 
     fn shuffle_ranks(&mut self) {
@@ -441,6 +466,14 @@ impl Tcm {
         for i in (1..self.bw_rank.len()).rev() {
             let j = self.rng.gen_range(0..=i);
             self.bw_rank.swap(i, j);
+        }
+        self.rank_bandwidth_cluster();
+    }
+
+    /// Writes the bandwidth cluster's current order into the class table.
+    fn rank_bandwidth_cluster(&mut self) {
+        for (rank, src) in self.bw_rank.iter().enumerate() {
+            self.class[src.0] = (true, rank);
         }
     }
 }
@@ -463,22 +496,17 @@ impl SchedulingPolicy for Tcm {
         // (1) Latency-sensitive cluster first, else (2) the highest-ranked
         // bandwidth-cluster source; then (3) row hit, (4) oldest.
         pick_min(input.candidates, |c| {
-            let class = if self.is_latency_sensitive(c.source) {
-                (false, 0)
-            } else {
-                (true, self.rank_of(c.source))
-            };
-            (class, !c.row_hit, c.arrival, c.queue_idx)
+            (self.class_of(c.source), !c.row_hit, c.arrival, c.queue_idx)
         })
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
         // Ensure newly seen sources participate in the next clustering.
-        self.served_current.entry(source).or_insert(0);
+        source.slot(&mut self.served_current, None).get_or_insert(0);
     }
 
     fn on_served(&mut self, source: SourceId, _bytes: u64) {
-        *self.served_current.entry(source).or_insert(0) += 1;
+        *source.slot(&mut self.served_current, None).get_or_insert(0) += 1;
     }
 
     fn on_cycle(&mut self, cycle: u64) {
@@ -550,7 +578,7 @@ impl SchedulingPolicy for Sms {
             cands
                 .iter()
                 .map(|c| c.source)
-                .min_by_key(|s| (input.pending_per_source.get(s).copied().unwrap_or(0), *s))?
+                .min_by_key(|s| (input.pending_per_source.get(s.0).copied().unwrap_or(0), *s))?
         } else {
             // Round-robin across currently present sources, in id order.
             self.sources.clear();
@@ -583,11 +611,7 @@ mod tests {
         }
     }
 
-    fn input<'a>(
-        cycle: u64,
-        cands: &'a [Candidate],
-        pending: &'a BTreeMap<SourceId, usize>,
-    ) -> ScheduleInput<'a> {
+    fn input<'a>(cycle: u64, cands: &'a [Candidate], pending: &'a [usize]) -> ScheduleInput<'a> {
         ScheduleInput {
             cycle,
             candidates: cands,
@@ -597,7 +621,7 @@ mod tests {
 
     #[test]
     fn all_policies_return_none_on_empty() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         for kind in PolicyKind::all() {
             let mut p = kind.instantiate();
             assert_eq!(p.choose(&input(0, &[], &pending)), None, "{kind}");
@@ -606,7 +630,7 @@ mod tests {
 
     #[test]
     fn all_policies_pick_the_only_candidate() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let cands = [cand(3, 0, false, 10)];
         for kind in PolicyKind::all() {
             let mut p = kind.instantiate();
@@ -616,7 +640,7 @@ mod tests {
 
     #[test]
     fn fcfs_ignores_row_hits() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let cands = [cand(0, 0, true, 20), cand(1, 1, false, 10)];
         let mut p = Fcfs::new();
         assert_eq!(p.choose(&input(30, &cands, &pending)), Some(1));
@@ -624,7 +648,7 @@ mod tests {
 
     #[test]
     fn frfcfs_prefers_row_hit_over_older() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let cands = [cand(0, 0, true, 20), cand(1, 1, false, 10)];
         let mut p = FrFcfs::new();
         assert_eq!(p.choose(&input(30, &cands, &pending)), Some(0));
@@ -632,7 +656,7 @@ mod tests {
 
     #[test]
     fn frfcfs_falls_back_to_oldest() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let cands = [cand(0, 0, false, 20), cand(1, 1, false, 10)];
         let mut p = FrFcfs::new();
         assert_eq!(p.choose(&input(30, &cands, &pending)), Some(1));
@@ -640,7 +664,7 @@ mod tests {
 
     #[test]
     fn atlas_prioritizes_least_attained_service() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let mut p = Atlas::default();
         // Source 0 has received lots of service; source 1 none.
         p.on_served(SourceId(0), 1_000_000);
@@ -652,7 +676,7 @@ mod tests {
 
     #[test]
     fn atlas_starvation_threshold_overrides_service() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let mut p = Atlas::new(100, 50_000, 1_000, 0.875);
         p.on_served(SourceId(0), 1_000_000);
         p.on_enqueue(SourceId(1));
@@ -664,7 +688,7 @@ mod tests {
 
     #[test]
     fn atlas_rank_is_stable_within_an_epoch() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let mut p = Atlas::default();
         p.on_served(SourceId(0), 1_000_000);
         p.on_enqueue(SourceId(1));
@@ -693,7 +717,7 @@ mod tests {
 
     #[test]
     fn atlas_ties_broken_by_row_hit() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let mut p = Atlas::default();
         let cands = [cand(0, 0, false, 5), cand(1, 1, true, 10)];
         assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1));
@@ -701,7 +725,7 @@ mod tests {
 
     #[test]
     fn tcm_prioritizes_latency_sensitive_cluster() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let mut p = Tcm::default();
         // Source 1 is heavy, source 0 light.
         for _ in 0..100 {
@@ -709,8 +733,8 @@ mod tests {
         }
         p.on_served(SourceId(0), 64);
         p.on_cycle(p.quantum_cycles); // reform clusters
-        assert!(p.is_latency_sensitive(SourceId(0)));
-        assert!(!p.is_latency_sensitive(SourceId(1)));
+        assert_eq!(p.class_of(SourceId(0)), Tcm::LATENCY);
+        assert_eq!(p.class_of(SourceId(1)), (true, 0));
         let cands = [cand(0, 1, true, 0), cand(1, 0, false, 50)];
         assert_eq!(p.choose(&input(60_000, &cands, &pending)), Some(1));
     }
@@ -741,9 +765,7 @@ mod tests {
 
     #[test]
     fn sms_shortest_first_picks_lightest_source() {
-        let mut pending = BTreeMap::new();
-        pending.insert(SourceId(0), 100);
-        pending.insert(SourceId(1), 2);
+        let pending = [100, 2];
         let mut p = Sms::new(1.0, 42); // always shortest-first
         let cands = [cand(0, 0, true, 0), cand(1, 1, false, 50)];
         assert_eq!(p.choose(&input(60, &cands, &pending)), Some(1));
@@ -751,7 +773,7 @@ mod tests {
 
     #[test]
     fn sms_round_robin_rotates_sources() {
-        let pending = BTreeMap::new();
+        let pending: [usize; 0] = [];
         let mut p = Sms::new(0.0, 42); // always round-robin
         let cands = [cand(0, 0, false, 0), cand(1, 1, false, 0)];
         let first = p.choose(&input(10, &cands, &pending)).unwrap();
@@ -762,7 +784,7 @@ mod tests {
     #[test]
     fn every_policy_pick_is_independent_of_candidate_order() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let pending: BTreeMap<SourceId, usize> = (0..4).map(|s| (SourceId(s), 4 - s)).collect();
+        let pending: Vec<usize> = (0..4).map(|s| 4 - s).collect();
         for kind in PolicyKind::all() {
             // Two instances with the same (default) seed and history: one
             // sees the candidates as built, the other a shuffled copy.
@@ -807,6 +829,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn atlas_ranks_sparse_ids_as_a_map_would() {
+        let pending: [usize; 0] = [];
+        let mut p = Atlas::default();
+        p.on_served(SourceId(63), 1_000_000);
+        p.on_served(SourceId(0), 1_000);
+        p.on_cycle(0);
+        assert_eq!((p.rank_of(SourceId(0)), p.rank_of(SourceId(63))), (0, 1));
+        // Ids never seen, inside the table or past its end, rank first
+        // with no attained service.
+        for unseen in [1, 62, 64, 1_000] {
+            assert_eq!(p.rank_of(SourceId(unseen)), 0, "src{unseen}");
+            assert_eq!(p.attained_service(SourceId(unseen)), 0.0, "src{unseen}");
+        }
+        // A source first seen mid-epoch still ranks 0 until the next one.
+        p.on_served(SourceId(7), 10_000_000);
+        assert_eq!(p.rank_of(SourceId(7)), 0);
+        let cands = [cand(0, 63, true, 5), cand(1, 1_000, false, 10)];
+        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1));
+        let cands = [cand(0, 0, false, 5), cand(1, 7, true, 10)];
+        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1), "rank tie");
+        p.on_cycle(p.epoch_cycles);
+        let ranks = [0, 63, 7].map(|s| p.rank_of(SourceId(s)));
+        assert_eq!(ranks, [0, 1, 2], "least attained service first");
+        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(0));
+    }
+
+    #[test]
+    fn tcm_classes_sparse_ids_as_a_map_would() {
+        let pending: [usize; 0] = [];
+        let mut p = Tcm::default();
+        for (src, serves) in [(0, 1), (9, 50), (63, 100)] {
+            for _ in 0..serves {
+                p.on_served(SourceId(src), 64);
+            }
+        }
+        p.on_cycle(p.quantum_cycles);
+        // Budget 151 * 4/24 = 25 requests: only the lightest source fits.
+        assert_eq!(p.class_of(SourceId(0)), Tcm::LATENCY);
+        assert_eq!(p.bw_rank, [SourceId(9), SourceId(63)]);
+        assert_eq!(p.class_of(SourceId(9)), (true, 0));
+        assert_eq!(p.class_of(SourceId(63)), (true, 1));
+        for unseen in [1, 62, 64, 1_000] {
+            assert_eq!(
+                p.class_of(SourceId(unseen)),
+                Tcm::UNCLUSTERED,
+                "src{unseen}"
+            );
+        }
+        // Seen after the re-clustering: unclustered until the next one.
+        p.on_enqueue(SourceId(30));
+        assert_eq!(p.class_of(SourceId(30)), Tcm::UNCLUSTERED);
+        let cands = [cand(0, 1_000, true, 0), cand(1, 63, false, 50)];
+        assert_eq!(p.choose(&input(9_000, &cands, &pending)), Some(1));
+        let cands = [cand(0, 9, true, 0), cand(1, 0, false, 50)];
+        assert_eq!(p.choose(&input(9_000, &cands, &pending)), Some(1));
+        // Every shuffle rewrites the ranks from the shuffled order.
+        let mut t = p.quantum_cycles;
+        for _ in 0..16 {
+            t += p.shuffle_cycles;
+            p.on_cycle(t);
+            for (rank, src) in p.bw_rank.iter().enumerate() {
+                assert_eq!(p.class_of(*src), (true, rank));
+            }
+            assert_eq!(p.class_of(SourceId(0)), Tcm::LATENCY);
+        }
+    }
+
+    #[test]
+    fn sms_reads_sparse_pending_counts_as_a_map_would() {
+        let mut pending = vec![0; 64];
+        pending[0] = 5;
+        pending[63] = 1;
+        let mut p = Sms::new(1.0, 42); // always shortest-first
+        let cands = [cand(0, 0, true, 0), cand(1, 63, false, 50)];
+        assert_eq!(p.choose(&input(60, &cands, &pending)), Some(1));
+        // An id past the end of the table has nothing pending.
+        let cands = [cand(0, 63, true, 0), cand(1, 1_000, false, 50)];
+        assert_eq!(p.choose(&input(60, &cands, &pending)), Some(1));
     }
 
     #[test]

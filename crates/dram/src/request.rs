@@ -14,6 +14,18 @@ use std::fmt;
 )]
 pub struct SourceId(pub usize);
 
+impl SourceId {
+    /// This source's entry in a dense per-source table indexed by the id,
+    /// growing the table with `fill` when the id lies past its end. Ids are
+    /// small dense integers, so tables stay as short as the largest id.
+    pub(crate) fn slot<T: Clone>(self, table: &mut Vec<T>, fill: T) -> &mut T {
+        if self.0 >= table.len() {
+            table.resize(self.0 + 1, fill);
+        }
+        &mut table[self.0]
+    }
+}
+
 impl fmt::Display for SourceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "src{}", self.0)

@@ -92,6 +92,7 @@ impl DramSystem {
         let config = controller.config().clone();
         let mut warmup_progress: BTreeMap<SourceId, u64> = BTreeMap::new();
         let mut warmup_bytes: BTreeMap<SourceId, u64> = BTreeMap::new();
+        let routes = completion_routes(&generators);
         let mut buf: Vec<Completion> = Vec::new();
         for now in 0..horizon {
             if warmup > 0 && now == warmup {
@@ -115,14 +116,7 @@ impl DramSystem {
             // Advance the controller; deliver completions.
             buf.clear();
             controller.tick_into(now, &mut buf);
-            for completion in &buf {
-                for generator in &mut generators {
-                    if generator.source_id() == completion.source {
-                        generator.on_complete(completion);
-                        break;
-                    }
-                }
-            }
+            deliver(&routes, &mut generators, &buf);
         }
 
         let completed: BTreeMap<SourceId, u64> = generators
@@ -158,6 +152,33 @@ impl DramSystem {
             measured,
             telemetry,
             conformance,
+        }
+    }
+}
+
+/// Which generator receives each source's completions, indexed by
+/// `SourceId.0`: the first generator with that id, or `None`.
+pub(crate) fn completion_routes(generators: &[Box<dyn TrafficSource>]) -> Vec<Option<usize>> {
+    let mut routes = Vec::new();
+    for (idx, generator) in generators.iter().enumerate() {
+        generator
+            .source_id()
+            .slot(&mut routes, None)
+            .get_or_insert(idx);
+    }
+    routes
+}
+
+/// Hands each completion to its source's generator along `routes`;
+/// completions of sources without a generator are dropped.
+pub(crate) fn deliver(
+    routes: &[Option<usize>],
+    generators: &mut [Box<dyn TrafficSource>],
+    completions: &[Completion],
+) {
+    for completion in completions {
+        if let Some(&Some(idx)) = routes.get(completion.source.0) {
+            generators[idx].on_complete(completion);
         }
     }
 }
@@ -253,6 +274,44 @@ mod tests {
 
     fn system(policy: PolicyKind) -> DramSystem {
         DramSystem::new(DramConfig::cmp_study(), policy)
+    }
+
+    #[test]
+    fn completions_route_to_the_first_generator_of_each_sparse_id() {
+        let stream =
+            |s| -> Box<dyn TrafficSource> { Box::new(StreamTraffic::builder(SourceId(s)).build()) };
+        let generators = [stream(63), stream(0), stream(63), stream(7)];
+        let routes = completion_routes(&generators);
+        assert_eq!(routes.len(), 64);
+        assert_eq!(
+            (routes[0], routes[7], routes[63]),
+            (Some(1), Some(3), Some(0))
+        );
+        assert_eq!(
+            routes.iter().flatten().count(),
+            3,
+            "unclaimed ids route nowhere"
+        );
+    }
+
+    #[test]
+    fn closed_loop_sources_with_sparse_ids_get_their_completions() {
+        let mut sys = system(PolicyKind::Atlas);
+        for s in [63, 0, 7] {
+            sys.add_generator(
+                StreamTraffic::builder(SourceId(s))
+                    .demand_gbps(30.0)
+                    .window(4)
+                    .build(),
+            );
+        }
+        let out = sys.run(20_000);
+        for s in [0, 7, 63] {
+            let done = out.completed[&SourceId(s)];
+            // A 4-deep window stalls unless its completions come back.
+            assert!(done > 100, "src{s} completed {done}");
+            assert!(done <= out.stats.per_source[&SourceId(s)].served);
+        }
     }
 
     #[test]

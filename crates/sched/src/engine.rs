@@ -58,14 +58,27 @@ impl SchedConfig {
     }
 }
 
+/// Exact identity of a kernel in the probe caches: its interned name and
+/// the bits of its four parameters. Two kernels share a key exactly when
+/// they are equal (`KernelDesc: PartialEq`), so distinct kernels never
+/// alias onto one cached simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct KernelKey {
+    name: usize,
+    params: [u64; 4],
+}
+
 /// The engine's probe: co-run rate measurements through [`CoRunSim`],
 /// cached by placement set.
 #[derive(Debug)]
 pub struct SimProbe<'a> {
     soc: &'a SocConfig,
     config: CoRunConfig,
-    corun_cache: BTreeMap<String, BTreeMap<usize, f64>>,
-    standalone_cache: BTreeMap<String, (f64, f64)>,
+    /// Interned kernel names; a name's id is its insertion index.
+    names: BTreeMap<String, usize>,
+    /// Co-run rates keyed by the placement set, sorted by PU.
+    corun_cache: BTreeMap<Vec<(usize, KernelKey)>, BTreeMap<usize, f64>>,
+    standalone_cache: BTreeMap<(usize, KernelKey), (f64, f64)>,
 }
 
 impl<'a> SimProbe<'a> {
@@ -74,26 +87,36 @@ impl<'a> SimProbe<'a> {
         Self {
             soc,
             config,
+            names: BTreeMap::new(),
             corun_cache: BTreeMap::new(),
             standalone_cache: BTreeMap::new(),
         }
     }
 
-    fn kernel_sig(kernel: &KernelDesc) -> String {
-        format!(
-            "{}|{:.5}|{:.4}|{:.4}|{:.4}",
-            kernel.name,
-            kernel.ops_per_byte,
-            kernel.row_locality,
-            kernel.write_fraction,
-            kernel.parallel_efficiency
-        )
+    fn key(&mut self, kernel: &KernelDesc) -> KernelKey {
+        let name = match self.names.get(kernel.name.as_str()) {
+            Some(&id) => id,
+            None => {
+                let id = self.names.len();
+                self.names.insert(kernel.name.clone(), id);
+                id
+            }
+        };
+        KernelKey {
+            name,
+            params: [
+                kernel.ops_per_byte.to_bits(),
+                kernel.row_locality.to_bits(),
+                kernel.write_fraction.to_bits(),
+                kernel.parallel_efficiency.to_bits(),
+            ],
+        }
     }
 
     /// Standalone (work rate in lines/cycle, bandwidth demand in GB/s) of
     /// `kernel` on PU `pu_idx`; cached.
     pub fn standalone(&mut self, pu_idx: usize, kernel: &KernelDesc) -> (f64, f64) {
-        let key = format!("{pu_idx}@{}", Self::kernel_sig(kernel));
+        let key = (pu_idx, self.key(kernel));
         if let Some(hit) = self.standalone_cache.get(&key) {
             return *hit;
         }
@@ -106,12 +129,11 @@ impl<'a> SimProbe<'a> {
 
 impl Probe for SimProbe<'_> {
     fn corun_rates(&mut self, placements: &[(usize, KernelDesc)]) -> BTreeMap<usize, f64> {
-        let mut parts: Vec<String> = placements
-            .iter()
-            .map(|(pu, k)| format!("{pu}@{}", Self::kernel_sig(k)))
-            .collect();
-        parts.sort_unstable();
-        let key = parts.join(";");
+        let mut key = Vec::with_capacity(placements.len());
+        for (pu, kernel) in placements {
+            key.push((*pu, self.key(kernel)));
+        }
+        key.sort_unstable();
         if let Some(hit) = self.corun_cache.get(&key) {
             return hit.clone();
         }

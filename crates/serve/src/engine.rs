@@ -371,11 +371,7 @@ fn external_pressure(
     running
         .iter()
         .filter(|r| r.pu_idx != pu_idx)
-        .map(|r| {
-            let kernel = r.kernel(soc).clone();
-            let (_, bw) = probe.standalone(r.pu_idx, &kernel);
-            bw
-        })
+        .map(|r| probe.standalone(r.pu_idx, r.kernel(soc)).1)
         .sum()
 }
 
@@ -484,8 +480,7 @@ pub fn run_serve(
                         .iter()
                         .find(|r| r.pu_idx == pu_idx)
                         .map_or(now, |r| {
-                            let kernel = r.kernel(soc).clone();
-                            let (rate, _) = probe.standalone(pu_idx, &kernel);
+                            let (rate, _) = probe.standalone(pu_idx, r.kernel(soc));
                             let mut left = r.remaining_lines / rate.max(MIN_RATE);
                             for ph in &r.bundle.job.phases[r.phase + 1..] {
                                 let k = ph

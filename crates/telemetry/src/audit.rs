@@ -151,9 +151,37 @@ pub fn snapshot() -> Vec<AuditRecord> {
     ledger().lock().expect("audit ledger poisoned").clone()
 }
 
-/// Removes and returns every record, leaving the ledger empty.
+/// Removes and returns every record in a canonical order, leaving the
+/// ledger empty. Parallel sweeps emit records in a nondeterministic order;
+/// draining canonically makes every sum over the result, and so every
+/// scorecard, byte-reproducible.
 pub fn drain() -> Vec<AuditRecord> {
-    std::mem::take(&mut *ledger().lock().expect("audit ledger poisoned"))
+    let mut records = std::mem::take(&mut *ledger().lock().expect("audit ledger poisoned"));
+    sort_canonical(&mut records);
+    records
+}
+
+/// Sorts records into a total order that does not depend on emission
+/// order: by the string fields, then by the bits of `predicted` and
+/// `achieved`.
+fn sort_canonical(records: &mut [AuditRecord]) {
+    fn key(r: &AuditRecord) -> ([&str; 7], u64, u64) {
+        let strings = [
+            &r.source,
+            &r.soc,
+            &r.pu,
+            &r.workload,
+            &r.region,
+            &r.policy,
+            &r.unit,
+        ];
+        (
+            strings.map(String::as_str),
+            r.predicted.to_bits(),
+            r.achieved.to_bits(),
+        )
+    }
+    records.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
 }
 
 /// Number of records currently held.
@@ -385,6 +413,58 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].soc, "a");
         assert_eq!(snap[1].soc, "b");
+    }
+
+    #[test]
+    fn shuffled_records_score_bit_identically() {
+        // Magnitudes far apart make float sums depend on their order.
+        let records: Vec<AuditRecord> = (0..40)
+            .map(|i| {
+                let scale = 10f64.powi(i % 9 - 4);
+                let region = ["minor", "normal", "intensive"][i as usize % 3];
+                rec(
+                    "xavier",
+                    region,
+                    100.0 * scale,
+                    (100.0 - f64::from(i)) * scale,
+                )
+            })
+            .collect();
+        let mut reversed = records.clone();
+        reversed.reverse();
+        let mut interleaved: Vec<AuditRecord> = records.iter().step_by(2).cloned().collect();
+        interleaved.extend(records.iter().skip(1).step_by(2).cloned());
+        let bits = |mut recs: Vec<AuditRecord>| {
+            sort_canonical(&mut recs);
+            let card = scorecard(&recs);
+            let mut out = vec![mean_abs_error(recs.iter()).to_bits()];
+            for s in card.slices.iter().chain([&card.overall]) {
+                out.extend(
+                    [s.mae, s.mape_pct, s.p95_abs_error, s.worst_abs_error].map(f64::to_bits),
+                );
+            }
+            out
+        };
+        let expected = bits(records);
+        assert_eq!(bits(reversed), expected);
+        assert_eq!(bits(interleaved), expected);
+    }
+
+    #[test]
+    fn drain_returns_canonical_order() {
+        let _g = guard();
+        reset();
+        set_enabled(true);
+        record(rec("b", "normal", 80.0, 70.0));
+        record(rec("a", "minor", 100.0, 90.0));
+        record(rec("a", "minor", 100.0, 80.0));
+        let drained = drain();
+        set_enabled(false);
+        let got: Vec<(&str, f64)> = drained
+            .iter()
+            .map(|r| (r.soc.as_str(), r.achieved))
+            .collect();
+        assert_eq!(got, [("a", 80.0), ("a", 90.0), ("b", 70.0)]);
     }
 
     #[test]

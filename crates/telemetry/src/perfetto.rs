@@ -5,10 +5,10 @@
 //! `chrome://tracing` both load): each span becomes a `B`/`E` duration
 //! pair on `pid` 1 with `tid` = lane + 1, each lane gets a `thread_name`
 //! metadata record, and counter samples become `C` events that Perfetto
-//! renders as counter tracks. Events are emitted already sorted per lane
-//! with ties broken so that an `E` at timestamp *t* precedes a `B` at the
-//! same *t* — that keeps zero-width adjacency well-nested for strict
-//! parsers, and is the ordering [`check_trace`] verifies.
+//! renders as counter tracks. Each lane's spans are emitted depth-first in
+//! start order, so `B`/`E` pairs nest exactly as the scopes did even when
+//! several open and close within one microsecond — the well-nested,
+//! non-decreasing order [`check_trace`] verifies.
 //!
 //! [`check_trace`] is the other half: it re-parses an exported trace and
 //! checks structural health (valid JSON, balanced `B`/`E` pairs per tid,
@@ -52,58 +52,16 @@ fn uint(u: u64) -> Value {
 }
 
 /// Renders spans and counter samples as a Chrome Trace Event Format JSON
-/// document. Deterministic for a fixed input: events are sorted by
-/// `(tid, ts, E-before-B, depth)` and object keys are emitted in
-/// `BTreeMap` order.
+/// document. Deterministic for a fixed input: counter samples come first
+/// in timestamp order, then each lane's spans depth-first in
+/// `(start, depth, end)` order, and object keys are emitted in `BTreeMap`
+/// order.
 pub fn trace_json(spans: &[ProfSpan], counters: &[CounterSample]) -> String {
-    // (tid, ts, rank, depth_key, payload): at equal timestamps on a lane,
-    // E events close deepest-first (rank 0, inverted depth) before B
-    // events open shallowest-first (rank 1, natural depth).
-    let mut keyed: Vec<(u64, u64, u8, u32, Value)> = Vec::new();
-    let mut lanes: Vec<u32> = Vec::new();
-    for span in spans {
-        let tid = u64::from(span.lane) + 1;
-        if !lanes.contains(&span.lane) {
-            lanes.push(span.lane);
-        }
-        // Floor the rendered duration at 1 µs: a sub-microsecond scope
-        // rounds to dur 0, and its E at the same ts would sort before its
-        // own B under the E-before-B tie-break.
-        let end_ts = span.start_us + span.dur_us.max(1);
-        let begin = obj(vec![
-            ("name", string(&span.name)),
-            ("ph", string("B")),
-            ("pid", uint(1)),
-            ("tid", uint(tid)),
-            ("ts", uint(span.start_us)),
-        ]);
-        let end = obj(vec![
-            ("name", string(&span.name)),
-            ("ph", string("E")),
-            ("pid", uint(1)),
-            ("tid", uint(tid)),
-            ("ts", uint(end_ts)),
-        ]);
-        keyed.push((tid, span.start_us, 1, span.depth, begin));
-        keyed.push((tid, end_ts, 0, u32::MAX - span.depth, end));
-    }
-    for sample in counters {
-        let event = obj(vec![
-            (
-                "args",
-                obj(vec![("value", Value::Number(Number::F(sample.value)))]),
-            ),
-            ("name", string(&sample.track)),
-            ("ph", string("C")),
-            ("pid", uint(1)),
-            ("tid", uint(COUNTER_TID)),
-            ("ts", uint(sample.ts_us)),
-        ]);
-        keyed.push((COUNTER_TID, sample.ts_us, 2, 0, event));
-    }
-    keyed.sort_by_key(|a| (a.0, a.1, a.2, a.3));
-
+    let mut lanes: Vec<u32> = spans.iter().map(|s| s.lane).collect();
     lanes.sort_unstable();
+    lanes.dedup();
+    let mut samples: Vec<&CounterSample> = counters.iter().collect();
+    samples.sort_by_key(|s| s.ts_us);
     let mut events: Vec<Value> = Vec::new();
     events.push(obj(vec![
         ("args", obj(vec![("name", string("pccs"))])),
@@ -112,7 +70,7 @@ pub fn trace_json(spans: &[ProfSpan], counters: &[CounterSample]) -> String {
         ("pid", uint(1)),
         ("tid", uint(COUNTER_TID)),
     ]));
-    for lane in lanes {
+    for &lane in &lanes {
         let label = if lane == 0 {
             "lane-0 (main)".to_owned()
         } else {
@@ -126,7 +84,36 @@ pub fn trace_json(spans: &[ProfSpan], counters: &[CounterSample]) -> String {
             ("tid", uint(u64::from(lane) + 1)),
         ]));
     }
-    events.extend(keyed.into_iter().map(|(_, _, _, _, event)| event));
+    for sample in samples {
+        events.push(obj(vec![
+            (
+                "args",
+                obj(vec![("value", Value::Number(Number::F(sample.value)))]),
+            ),
+            ("name", string(&sample.track)),
+            ("ph", string("C")),
+            ("pid", uint(1)),
+            ("tid", uint(COUNTER_TID)),
+            ("ts", uint(sample.ts_us)),
+        ]));
+    }
+    for lane in lanes {
+        let mut on_lane: Vec<&ProfSpan> = spans.iter().filter(|s| s.lane == lane).collect();
+        on_lane.sort_by_key(|s| (s.start_us, s.depth, s.start_us + s.dur_us));
+        // A span closes once the next span in start order is no deeper:
+        // scopes nest, so it cannot be that span's ancestor.
+        let mut open: Vec<&ProfSpan> = Vec::new();
+        for span in on_lane {
+            while let Some(top) = open.pop_if(|top| top.depth >= span.depth) {
+                events.push(span_event(top, "E", top.start_us + top.dur_us));
+            }
+            events.push(span_event(span, "B", span.start_us));
+            open.push(span);
+        }
+        for top in open.into_iter().rev() {
+            events.push(span_event(top, "E", top.start_us + top.dur_us));
+        }
+    }
 
     let document = obj(vec![
         ("displayTimeUnit", string("ms")),
@@ -135,6 +122,17 @@ pub fn trace_json(spans: &[ProfSpan], counters: &[CounterSample]) -> String {
     let mut out = String::new();
     document.render(&mut out);
     out
+}
+
+/// A `B` or `E` event of `span` at `ts`.
+fn span_event(span: &ProfSpan, ph: &str, ts: u64) -> Value {
+    obj(vec![
+        ("name", string(&span.name)),
+        ("ph", string(ph)),
+        ("pid", uint(1)),
+        ("tid", uint(u64::from(span.lane) + 1)),
+        ("ts", uint(ts)),
+    ])
 }
 
 /// Counter samples from a metrics-registry snapshot, one point per metric
@@ -313,8 +311,8 @@ mod tests {
 
     #[test]
     fn zero_duration_stack_stays_well_nested() {
-        // Sub-microsecond scopes round to dur 0; the 1 µs render floor
-        // keeps each E strictly after its own B.
+        // Sub-microsecond scopes round to dur 0; depth-first emission
+        // keeps each E after its own B and its children's.
         let spans = vec![
             span("w", 1, 0, 7, 0),
             span("inner", 1, 1, 7, 0),

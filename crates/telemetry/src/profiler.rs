@@ -35,6 +35,13 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
+/// Whole microseconds from the profiler epoch to `at`.
+fn micros_since_epoch(at: Instant) -> u64 {
+    at.duration_since(epoch())
+        .as_micros()
+        .min(u128::from(u64::MAX)) as u64
+}
+
 thread_local! {
     static LANE: Cell<Option<u32>> = const { Cell::new(None) };
     // One u64 of accumulated child time per open scope on this thread.
@@ -64,7 +71,9 @@ pub struct ProfSpan {
     pub depth: u32,
     /// Microseconds from profiler epoch to scope open.
     pub start_us: u64,
-    /// Total scope duration in microseconds.
+    /// Total scope duration in microseconds: whole microseconds to scope
+    /// close minus `start_us`, so a child's `[start_us, start_us +
+    /// dur_us]` always lies within its parent's.
     pub dur_us: u64,
     /// Duration minus time spent in child scopes, in microseconds.
     pub self_us: u64,
@@ -94,7 +103,7 @@ impl Profiler {
     /// by every [`ProfSpan`], so callers can stamp counter samples onto
     /// the same axis.
     pub fn now_us() -> u64 {
-        epoch().elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+        micros_since_epoch(Instant::now())
     }
 
     /// Opens a scope; it records itself when dropped. Free when profiling
@@ -143,16 +152,11 @@ impl Drop for ProfScope {
         let Some(inner) = self.inner.take() else {
             return;
         };
-        let dur_us = inner
-            .started
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
-        let start_us = inner
-            .started
-            .duration_since(epoch())
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
+        // Truncate both ends on the shared timebase rather than the start
+        // and the duration separately, which could render a sub-µs parent
+        // as ending before its child starts.
+        let start_us = micros_since_epoch(inner.started);
+        let dur_us = Profiler::now_us().saturating_sub(start_us);
         let child_us = OPEN.with(|open| {
             let mut open = open.borrow_mut();
             let child_us = open.pop().unwrap_or(0);

@@ -15,16 +15,18 @@ step() {
   fi
 }
 
-# The serving loop must be seed-deterministic: the same `repro serve`
-# sweep at two worker counts must emit byte-identical results. The
-# manifest header records wall times, so compare from "result" down.
-serve_determinism() {
-  local dir=target/serve-determinism out1 out2
+# An experiment must be seed-deterministic: the same `repro <name>` sweep
+# at two worker counts must emit byte-identical results. The manifest
+# header records wall times, so compare from "result" down. `sched` guards
+# the probe cache shared by the scheduling and serving engines; `serve`
+# guards the serving loop on top of it.
+jobs_determinism() {
+  local name=$1 dir=target/${1}-determinism out1 out2
   rm -rf "${dir}" && mkdir -p "${dir}/j1" "${dir}/j2"
-  ./target/release/repro serve --quick --jobs 1 --metrics-out "${dir}/j1" >/dev/null || return 1
-  ./target/release/repro serve --quick --jobs 2 --metrics-out "${dir}/j2" >/dev/null || return 1
-  out1=$(sed -n '/"result"/,$p' "${dir}/j1/serve.json")
-  out2=$(sed -n '/"result"/,$p' "${dir}/j2/serve.json")
+  ./target/release/repro "${name}" --quick --jobs 1 --metrics-out "${dir}/j1" >/dev/null || return 1
+  ./target/release/repro "${name}" --quick --jobs 2 --metrics-out "${dir}/j2" >/dev/null || return 1
+  out1=$(sed -n '/"result"/,$p' "${dir}/j1/${name}.json")
+  out2=$(sed -n '/"result"/,$p' "${dir}/j2/${name}.json")
   [[ -n ${out1} ]] && diff <(echo "${out1}") <(echo "${out2}")
 }
 
@@ -79,7 +81,8 @@ step sched-smoke ./target/release/pccs sched --quick
 # Serving smoke: the online loop must run end to end under the greedy
 # policy (pccs-policy calibration is exercised by the repro sweep below).
 step serve-smoke ./target/release/pccs serve --quick --policy greedy
-step serve-determinism serve_determinism
+step sched-determinism jobs_determinism sched
+step serve-determinism jobs_determinism serve
 # Repro smoke also exports a Perfetto trace, validated below.
 step repro-smoke ./target/release/repro oblivious --quick --jobs 2 \
   --trace-out target/trace-smoke.json
