@@ -5,8 +5,8 @@
 //! malformed config) and results are bit-identical across runs and
 //! `--jobs` settings (nondeterministic iteration order or wall-clock reads
 //! silently break profile caching and regression baselines). This crate
-//! enforces those invariants — plus rustdoc coverage and a ban on new
-//! calls to deprecated shims — with a hand-rolled lexer ([`lexer`]) and a
+//! enforces those invariants — plus rustdoc coverage and the expiry of
+//! deprecated shims — with a hand-rolled lexer ([`lexer`]) and a
 //! small rule engine ([`rules`]), because the build environment has no
 //! registry access for `syn`-based tooling.
 //!

@@ -6,7 +6,6 @@
 //! |------|-------|---------------|
 //! | `hot-path-panic` | `dram`/`soc`/`core` non-test code | `.unwrap()`, `.expect(...)`, `panic!` — simulator hot paths must return errors. `assert!`/`debug_assert!`/`unreachable!` are deliberately *not* flagged: contract checks are welcome. |
 //! | `nondeterminism` | sim/experiment crates non-test code | `Instant::now`, `SystemTime`, `HashMap`, `HashSet`, `thread_rng` — results must be byte-identical across runs and `--jobs` settings. |
-//! | `deprecated-shim` | all crates, non-test code | calls to the deprecated `CoRunSim::run_configured` shim and `#[allow(deprecated)]` escapes (the only way a call to the deprecated `run` shim survives `-D warnings`). |
 //! | `missing-docs` | library crates, non-test code | `pub` items without a rustdoc comment directly above. |
 //! | `raw-stderr` | `dram`/`soc`/`core`/`sched`/`experiments` library code | `println!`/`eprintln!`/`print!`/`eprint!` — library crates must route output through telemetry or return it to the CLI layer, not write to the process streams. |
 //! | `hot-loop-metrics` | `dram`/`soc` library code | `metrics::add`/`observe_max`/`counter`/`gauge` lexically inside a `for`/`while`/`loop` body — each call takes the registry lock, so per-cycle loops must accumulate locally and publish once after the loop (the §9 overhead budget depends on it). |
@@ -30,7 +29,6 @@ use crate::report::{Finding, LintReport, Scope};
 pub const RULE_NAMES: &[&str] = &[
     "hot-path-panic",
     "nondeterminism",
-    "deprecated-shim",
     "missing-docs",
     "raw-stderr",
     "hot-loop-metrics",
@@ -307,59 +305,6 @@ fn nondeterminism(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-fn deprecated_shim(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.class.is_test_path {
-        return;
-    }
-    for (k, tok) in ctx.lexed.tokens.iter().enumerate() {
-        if ctx.in_test[k] || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        match tok.text.as_str() {
-            "run_configured" if k > 0 && matches!(ctx.text(k - 1), Some(".") | Some(":")) => {
-                out.push(
-                    ctx.finding(
-                        "deprecated-shim",
-                        tok.line,
-                        "call to deprecated CoRunSim::run_configured; use the \
-                     builder API (place/check_conformance/run_at)"
-                            .to_owned(),
-                    ),
-                );
-            }
-            "tick" if ctx.text(k.wrapping_sub(1)) == Some(".") && ctx.text(k + 1) == Some("(") => {
-                out.push(
-                    ctx.finding(
-                        "deprecated-shim",
-                        tok.line,
-                        "call to deprecated MemoryController::tick; use \
-                     tick_into with a reused completion buffer"
-                            .to_owned(),
-                    ),
-                );
-            }
-            // `#[allow(deprecated)]` is the only way a call to the
-            // deprecated `run` shim survives `-D warnings`.
-            "deprecated"
-                if ctx.text(k.wrapping_sub(1)) == Some("(")
-                    && ctx.ident(k.wrapping_sub(2)) == Some("allow")
-                    && ctx.text(k.wrapping_sub(3)) == Some("[") =>
-            {
-                out.push(
-                    ctx.finding(
-                        "deprecated-shim",
-                        tok.line,
-                        "#[allow(deprecated)] in non-test code; migrate off the \
-                     deprecated API instead of silencing the warning"
-                            .to_owned(),
-                    ),
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
 fn raw_stderr(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
     if !QUIET_CRATES.contains(&ctx.class.crate_name.as_str())
         || ctx.class.is_test_path
@@ -585,7 +530,6 @@ pub(crate) fn file_findings(
     let mut raw = Vec::new();
     hot_path_panic(&ctx, &mut raw);
     nondeterminism(&ctx, &mut raw);
-    deprecated_shim(&ctx, &mut raw);
     missing_docs(&ctx, &mut raw);
     raw_stderr(&ctx, &mut raw);
     hot_loop_metrics(&ctx, &mut raw);
@@ -699,44 +643,12 @@ mod tests {
     }
 
     #[test]
-    fn tick_shim_calls_are_flagged() {
-        let src = "fn f(mc: &mut MemoryController) { let _ = mc.tick(0); }\n";
-        assert_eq!(
-            rules_of("crates/soc/src/a.rs", src),
-            vec!["deprecated-shim"]
-        );
-        // The definition site (`fn tick`) and the replacement are fine.
-        let src = "/// Docs.\npub fn tick(&mut self) {}\nfn g(mc: &mut M, out: &mut Vec<C>) { mc.tick_into(0, out); }\n";
-        assert!(rules_of("crates/dram/src/a.rs", src).is_empty());
-    }
-
-    #[test]
     fn nondeterminism_sources_are_flagged() {
         let src = "use std::collections::HashMap;\nfn t() { let _ = std::time::Instant::now(); }\n";
         let rules = rules_of("crates/sched/src/a.rs", src);
         assert_eq!(rules, vec!["nondeterminism", "nondeterminism"]);
         // `Instant` alone (e.g. stored as a field type) is not flagged.
         assert!(rules_of("crates/sched/src/a.rs", "use std::time::Instant;\n").is_empty());
-    }
-
-    #[test]
-    fn deprecated_shim_calls_and_escapes_are_flagged() {
-        let src = "fn f(s: &mut S) { s.run_configured(1); }\n";
-        assert_eq!(
-            rules_of("crates/experiments/src/a.rs", src),
-            vec!["deprecated-shim"]
-        );
-        let src = "#[allow(deprecated)]\nfn f() {}\n";
-        assert_eq!(
-            rules_of("crates/experiments/src/a.rs", src),
-            vec!["deprecated-shim"]
-        );
-        // The definition site (`fn run_configured`) is not a call.
-        let src = "/// Docs.\npub fn run_configured(&mut self) {}\n";
-        assert!(rules_of("crates/soc/src/a.rs", src).is_empty());
-        // `#[deprecated(...)]` markers are fine — they are the fix.
-        let src = "#[deprecated(note = \"x\")]\nfn f() {}\n";
-        assert!(rules_of("crates/soc/src/a.rs", src).is_empty());
     }
 
     #[test]

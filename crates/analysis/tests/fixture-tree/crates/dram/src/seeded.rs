@@ -23,12 +23,6 @@ pub fn waived(x: Option<u32>) -> u32 {
     x.unwrap() // pccs-lint: allow(hot-path-panic)
 }
 
-/// Calls the deprecated shim.
-pub fn old_api(sim: &mut CoRunSim) {
-    #[allow(deprecated)]
-    let _ = sim.run_configured(1_000);
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

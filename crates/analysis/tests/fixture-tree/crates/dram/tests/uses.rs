@@ -4,5 +4,5 @@
 
 use pccs_bench::REQUIRED_METRICS;
 use pccs_dram::cyc_a::entry;
-use pccs_dram::seeded::{boom, old_api, stamp, undocumented_helper, waived};
+use pccs_dram::seeded::{boom, stamp, undocumented_helper, waived};
 use pccs_serve::planted::{planted_queue, publish, tidy};

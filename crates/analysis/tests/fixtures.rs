@@ -36,10 +36,6 @@ fn seeded_fixture_trips_every_rule() {
         per_rule["nondeterminism"], 3,
         "HashMap + Instant::now in dram, HashMap in serve: {per_rule:?}"
     );
-    assert_eq!(
-        per_rule["deprecated-shim"], 2,
-        "allow(deprecated) + run_configured call: {per_rule:?}"
-    );
     assert_eq!(per_rule["missing-docs"], 1, "{per_rule:?}");
     // The workspace-scoped rules, one planted violation each:
     assert_eq!(

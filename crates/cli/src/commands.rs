@@ -20,7 +20,7 @@ use pccs_soc::corun::{CoRunSim, Placement, DEFAULT_HORIZON};
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::export::{self, SummaryRow};
-use pccs_telemetry::{RunManifest, TraceLog};
+use pccs_telemetry::{Profiler, RunManifest};
 use pccs_workloads::calibrate::{build_model, CalibrationConfig};
 use pccs_workloads::rodinia::RodiniaBenchmark;
 use serde_json::{Number, Value};
@@ -135,14 +135,31 @@ pub fn calibrate(args: &Args) -> Result<(), ArgError> {
 
 fn load_model(path: &str) -> Result<PccsModel, ArgError> {
     let text = fs::read_to_string(path).map_err(|e| ArgError(format!("reading {path}: {e}")))?;
-    serde_json::from_str(&text).map_err(|e| ArgError(format!("parsing {path}: {e}")))
+    let model: PccsModel =
+        serde_json::from_str(&text).map_err(|e| ArgError(format!("parsing {path}: {e}")))?;
+    model
+        .validate()
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+    Ok(model)
+}
+
+/// A bandwidth option in GB/s, which must be finite and non-negative.
+fn get_gbps(args: &Args, key: &str, default: f64) -> Result<f64, ArgError> {
+    let v = args.get_f64(key, default)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(ArgError(format!(
+            "--{key} must be a finite, non-negative bandwidth in GB/s, got {v}"
+        )))
+    }
 }
 
 /// `pccs predict` — evaluates a stored model at a demand/pressure point, or
 /// for a named benchmark whose demand is profiled on the simulator.
 pub fn predict(args: &Args) -> Result<(), ArgError> {
     let model = load_model(args.require("model")?)?;
-    let external = args.get_f64("external", 40.0)?;
+    let external = get_gbps(args, "external", 40.0)?;
     let demand = if let Some(bench) = args.get("bench") {
         let soc = soc_by_name(args.require("soc")?)?;
         let pu = pu_index(&soc, args.require("pu")?)?;
@@ -153,14 +170,12 @@ pub fn predict(args: &Args) -> Result<(), ArgError> {
             soc.name, soc.pus[pu].name, profile.bw_gbps
         );
         profile.bw_gbps
+    } else if args.get("demand").is_some() {
+        get_gbps(args, "demand", 0.0)?
     } else {
-        let d = args.get_f64("demand", f64::NAN)?;
-        if !d.is_finite() {
-            return Err(ArgError(
-                "predict needs either --demand or --soc/--pu/--bench".into(),
-            ));
-        }
-        d
+        return Err(ArgError(
+            "predict needs either --demand or --soc/--pu/--bench".into(),
+        ));
     };
     let rs = model.relative_speed_pct(demand, external);
     println!(
@@ -177,21 +192,20 @@ pub fn explore_freq(args: &Args) -> Result<(), ArgError> {
     let soc = soc_by_name(args.require("soc")?)?;
     let pu = pu_index(&soc, args.require("pu")?)?;
     let kernel = bench_kernel(&soc, pu, args.require("bench")?)?;
-    let external = args.get_f64("external", 40.0)?;
+    let external = get_gbps(args, "external", 40.0)?;
     let budget = args.get_f64("budget", 0.05)?;
     if !(0.0..1.0).contains(&budget) {
         return Err(ArgError("--budget must be a fraction in [0, 1)".into()));
     }
     let horizon = 24_000;
     let freqs: Vec<f64> = vec![400.0, 600.0, 800.0, 1000.0, 1200.0, soc.pus[pu].freq_mhz];
-
-    eprintln!("profiling {} candidate frequencies ...", freqs.len());
-    let points = profile_frequencies(&soc, pu, &kernel, &freqs, horizon);
-
     let model: Box<dyn SlowdownModel> = match args.get("model") {
         Some(path) => Box::new(load_model(path)?),
         None => Box::new(GablesModel::new(soc.peak_bw_gbps())),
     };
+
+    eprintln!("profiling {} candidate frequencies ...", freqs.len());
+    let points = profile_frequencies(&soc, pu, &kernel, &freqs, horizon);
     let sel = select_frequency(&points, model.as_ref(), external, budget);
     println!("{} picks {:.0} MHz", model.name(), sel.chosen_mhz);
     for (f, rel) in &sel.perf_rel {
@@ -234,7 +248,7 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
     }
     let metrics_out = args.get("metrics-out");
     if metrics_out.is_some() {
-        TraceLog::enable();
+        Profiler::enable();
     }
 
     let mut sim = CoRunSim::new(&soc);
@@ -318,7 +332,7 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
         let mut manifest = RunManifest::new("pccs-cli", env!("CARGO_PKG_VERSION"), "corun")
             .with_config(Value::Object(config));
         manifest.set_wall_secs(started.elapsed().as_secs_f64());
-        let spans = TraceLog::drain();
+        let spans = Profiler::drain();
         let report = out.memory.telemetry.as_ref();
         let jsonl = export::jsonl_events(Some(&manifest), report, &spans);
         fs::write(path, jsonl).map_err(|e| ArgError(format!("writing {path}: {e}")))?;
@@ -381,7 +395,7 @@ pub fn sched(args: &Args) -> Result<(), ArgError> {
     };
     let metrics_out = args.get("metrics-out");
     if metrics_out.is_some() {
-        TraceLog::enable();
+        Profiler::enable();
     }
 
     eprintln!(
@@ -431,7 +445,7 @@ pub fn sched(args: &Args) -> Result<(), ArgError> {
         let mut manifest = RunManifest::new("pccs-cli", env!("CARGO_PKG_VERSION"), "sched")
             .with_config(Value::Object(config));
         manifest.set_wall_secs(started.elapsed().as_secs_f64());
-        let spans = TraceLog::drain();
+        let spans = Profiler::drain();
         let mut jsonl = export::jsonl_events(Some(&manifest), None, &spans);
         jsonl.push_str(&export::jsonl_records("decision", &report.decisions));
         jsonl.push_str(&export::jsonl_records::<JobOutcome>(
@@ -541,7 +555,7 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
     cfg.batch.max_batch = args.get_usize("batch", cfg.batch.max_batch)?;
     let metrics_out = args.get("metrics-out");
     if metrics_out.is_some() {
-        TraceLog::enable();
+        Profiler::enable();
     }
 
     eprintln!(
@@ -599,7 +613,7 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         let mut manifest = RunManifest::new("pccs-cli", env!("CARGO_PKG_VERSION"), "serve")
             .with_config(Value::Object(config));
         manifest.set_wall_secs(started.elapsed().as_secs_f64());
-        let spans = TraceLog::drain();
+        let spans = Profiler::drain();
         let mut jsonl = export::jsonl_events(Some(&manifest), None, &spans);
         jsonl.push_str(&export::jsonl_records("request", &report.outcomes));
         jsonl.push_str(&export::jsonl_records("class_slo", &report.classes));

@@ -1,0 +1,105 @@
+//! `pccs predict` and `pccs explore-freq` turn malformed outside input —
+//! negative or non-finite bandwidths, model files that break the model's
+//! invariants — into an error message and exit status 1, never a panic.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+const PAPER_GPU: &str = r#"{"normal_bw":38.1,"intensive_bw":96.2,"mrmc":4.9,"cbp":45.3,"tbwdc":87.2,"rate_n":0.83,"peak_bw":137.0}"#;
+
+fn pccs(args: &[&str]) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_pccs"))
+        .args(args)
+        .output()
+        .expect("pccs runs");
+    let code = out.status.code().expect("pccs exits normally");
+    (code, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// Writes `json` to a model file unique to `name` and returns its path.
+fn model_file(name: &str, json: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("bad_inputs_{name}.json"));
+    std::fs::write(&path, json).expect("write model file");
+    path.to_string_lossy().into_owned()
+}
+
+fn assert_rejected(args: &[&str], message: &str) {
+    let (code, stderr) = pccs(args);
+    assert_eq!(code, 1, "{args:?}: {stderr}");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn predict_rejects_bad_bandwidths() {
+    let model = model_file("paper_gpu", PAPER_GPU);
+    let (code, stderr) = pccs(&["predict", "--model", &model, "--demand", "60"]);
+    assert_eq!(code, 0, "{stderr}");
+    for (flag, value) in [
+        ("--external", "-1"),
+        ("--external", "NaN"),
+        ("--demand", "-3"),
+        ("--demand", "inf"),
+    ] {
+        let mut args = vec!["predict", "--model", &model, "--demand", "60"];
+        args.extend([flag, value]);
+        assert_rejected(
+            &args,
+            &format!("{flag} must be a finite, non-negative bandwidth"),
+        );
+    }
+}
+
+#[test]
+fn predict_rejects_models_that_break_invariants() {
+    for (name, from, to, reason) in [
+        (
+            "unordered",
+            r#""intensive_bw":96.2"#,
+            r#""intensive_bw":20.0"#,
+            "region boundaries unordered",
+        ),
+        (
+            "negative_rate",
+            r#""rate_n":0.83"#,
+            r#""rate_n":-1.0"#,
+            "reduction rate must be non-negative",
+        ),
+        (
+            "infinite",
+            r#""cbp":45.3"#,
+            r#""cbp":1e999"#,
+            "every parameter must be finite",
+        ),
+    ] {
+        let model = model_file(name, &PAPER_GPU.replace(from, to));
+        assert_rejected(
+            &["predict", "--model", &model, "--demand", "60"],
+            &format!("invalid model parameters: {reason}"),
+        );
+    }
+}
+
+#[test]
+fn explore_freq_rejects_bad_inputs_before_profiling() {
+    let base = [
+        "explore-freq",
+        "--soc",
+        "xavier",
+        "--pu",
+        "GPU",
+        "--bench",
+        "streamcluster",
+    ];
+    let mut args = base.to_vec();
+    args.extend(["--external", "-1"]);
+    assert_rejected(&args, "--external must be a finite, non-negative bandwidth");
+
+    let model = model_file(
+        "explore_unordered",
+        &PAPER_GPU.replace(r#""intensive_bw":96.2"#, r#""intensive_bw":20.0"#),
+    );
+    let mut args = base.to_vec();
+    args.extend(["--model", &model]);
+    assert_rejected(&args, "region boundaries unordered");
+}

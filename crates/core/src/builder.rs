@@ -169,7 +169,7 @@ impl ModelBuilder {
         let n = d.rows();
         let m = d.cols();
         let last = m - 1;
-        let mut span = pccs_telemetry::TraceLog::span("builder.build");
+        let mut span = pccs_telemetry::Profiler::scope("builder.build");
         span.counter("rows", n as f64);
         span.counter("cols", m as f64);
 
@@ -240,7 +240,7 @@ impl ModelBuilder {
         // Steps 2, 4, 5 — piecewise fit of every normal-region row.
         let mut fits: Vec<(f64, RowFit)> = Vec::new(); // (std_bw, fit)
         {
-            let mut fit_span = pccs_telemetry::TraceLog::span("builder.fit_rows");
+            let mut fit_span = pccs_telemetry::Profiler::scope("builder.fit_rows");
             for i in k_norm..k_int.max(k_norm + 1).min(n) {
                 if let Some(fit) = self.fit_row(i) {
                     fits.push((d.std_bw[i], fit));

@@ -1,4 +1,4 @@
-//! Error types for model construction.
+//! Error types for model construction and validation.
 
 use std::error::Error;
 use std::fmt;
@@ -42,6 +42,12 @@ pub enum ModelBuildError {
         /// The offending value.
         value: f64,
     },
+    /// A model's parameters break an invariant of
+    /// [`PccsModel::validate`](crate::PccsModel::validate).
+    InvalidParameters {
+        /// The broken invariant.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for ModelBuildError {
@@ -63,6 +69,9 @@ impl fmt::Display for ModelBuildError {
             ),
             ModelBuildError::InvalidPeakBandwidth { value } => {
                 write!(f, "peak bandwidth {value} is not positive")
+            }
+            ModelBuildError::InvalidParameters { reason } => {
+                write!(f, "invalid model parameters: {reason}")
             }
         }
     }

@@ -1,6 +1,7 @@
 //! The three-region slowdown model (Equations 2–5 of the paper) and its
 //! linear bandwidth scaling (Section 3.3).
 
+use crate::error::ModelBuildError;
 use crate::region::Region;
 use crate::traits::SlowdownModel;
 use serde::{Deserialize, Serialize};
@@ -40,9 +41,8 @@ impl PccsModel {
     ///
     /// # Panics
     ///
-    /// Panics if any bandwidth parameter is negative, the region boundaries
-    /// are unordered, `rate_n` is negative, or `peak_bw`/`cbp` are not
-    /// positive.
+    /// Panics if the parameters break an invariant [`Self::validate`]
+    /// checks.
     pub fn from_parameters(
         normal_bw: f64,
         intensive_bw: f64,
@@ -52,18 +52,7 @@ impl PccsModel {
         rate_n: f64,
         peak_bw: f64,
     ) -> Self {
-        assert!(
-            normal_bw >= 0.0 && intensive_bw >= normal_bw,
-            "region boundaries unordered"
-        );
-        assert!(cbp > 0.0, "contention balance point must be positive");
-        assert!(tbwdc >= 0.0, "TBWDC must be non-negative");
-        assert!(rate_n >= 0.0, "reduction rate must be non-negative");
-        assert!(peak_bw > 0.0, "peak bandwidth must be positive");
-        if let Some(m) = mrmc {
-            assert!((0.0..=100.0).contains(&m), "MRMC is a percentage");
-        }
-        Self {
+        let model = Self {
             normal_bw,
             intensive_bw,
             mrmc,
@@ -71,7 +60,52 @@ impl PccsModel {
             tbwdc,
             rate_n,
             peak_bw,
-        }
+        };
+        let verdict = model.validate();
+        assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        model
+    }
+
+    /// Checks the model's invariants: every parameter is finite, the region
+    /// boundaries are non-negative and ordered, `tbwdc` and `rate_n` are
+    /// non-negative, `cbp` and `peak_bw` are positive, and `mrmc` is a
+    /// percentage. A model read from a file (which bypasses
+    /// [`Self::from_parameters`]) must pass this before use.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelBuildError::InvalidParameters`] naming the first
+    /// broken invariant.
+    pub fn validate(&self) -> Result<(), ModelBuildError> {
+        let finite = [
+            self.normal_bw,
+            self.intensive_bw,
+            self.mrmc.unwrap_or(0.0),
+            self.cbp,
+            self.tbwdc,
+            self.rate_n,
+            self.peak_bw,
+        ]
+        .iter()
+        .all(|v| v.is_finite());
+        let reason = if !finite {
+            "every parameter must be finite"
+        } else if !(self.normal_bw >= 0.0 && self.intensive_bw >= self.normal_bw) {
+            "region boundaries unordered"
+        } else if self.cbp <= 0.0 {
+            "contention balance point must be positive"
+        } else if self.tbwdc < 0.0 {
+            "TBWDC must be non-negative"
+        } else if self.rate_n < 0.0 {
+            "reduction rate must be non-negative"
+        } else if self.peak_bw <= 0.0 {
+            "peak bandwidth must be positive"
+        } else if self.mrmc.is_some_and(|m| !(0.0..=100.0).contains(&m)) {
+            "MRMC is a percentage"
+        } else {
+            return Ok(());
+        };
+        Err(ModelBuildError::InvalidParameters { reason })
     }
 
     /// The Xavier GPU model of Table 7 (rate_n back-derived from the
@@ -358,5 +392,34 @@ mod tests {
     #[should_panic(expected = "unordered")]
     fn rejects_unordered_boundaries() {
         PccsModel::from_parameters(50.0, 20.0, None, 10.0, 10.0, 1.0, 100.0);
+    }
+
+    #[test]
+    fn validate_names_the_broken_invariant() {
+        assert_eq!(gpu().validate(), Ok(()));
+        let reason = |m: PccsModel| match m.validate() {
+            Err(ModelBuildError::InvalidParameters { reason }) => reason,
+            other => panic!("expected InvalidParameters, got {other:?}"),
+        };
+        let swapped = PccsModel {
+            intensive_bw: 10.0,
+            ..gpu()
+        };
+        assert_eq!(reason(swapped), "region boundaries unordered");
+        let nan = PccsModel {
+            cbp: f64::NAN,
+            ..gpu()
+        };
+        assert_eq!(reason(nan), "every parameter must be finite");
+        let negative_rate = PccsModel {
+            rate_n: -0.5,
+            ..gpu()
+        };
+        assert_eq!(reason(negative_rate), "reduction rate must be non-negative");
+        let mrmc = PccsModel {
+            mrmc: Some(120.0),
+            ..gpu()
+        };
+        assert_eq!(reason(mrmc), "MRMC is a percentage");
     }
 }

@@ -17,12 +17,13 @@
 //! simulation is seeded). `--metrics-out <dir>` (alias: `--json <dir>`)
 //! additionally writes each experiment's result as `<dir>/<name>.json` — a
 //! `{manifest, result}` object whose manifest records the configuration,
-//! crate version, start time, and wall time — plus the phase spans as
+//! crate version, start time, and wall time — plus the profiler spans as
 //! `<dir>/trace.jsonl` (see DESIGN.md for the JSONL schema).
-//! `--trace-out <file>` enables the hierarchical profiler and writes a
-//! Chrome/Perfetto trace (open it at <https://ui.perfetto.dev>) with
-//! per-worker span lanes and one counter track per `pccs` metric, sampled
-//! at every experiment boundary (DESIGN.md §9).
+//! `--trace-out <file>` writes a Chrome/Perfetto trace (open it at
+//! <https://ui.perfetto.dev>) with per-worker span lanes and one counter
+//! track per `pccs` metric, sampled at every experiment boundary
+//! (DESIGN.md §9). Either flag enables the hierarchical profiler; with
+//! both, the one drained span set feeds both files.
 //!
 //! `--audit-out <file>` enables the prediction-audit
 //! ledger (DESIGN.md §12), writes every resolved (prediction,
@@ -35,7 +36,7 @@ use pccs_experiments::{
     fig13, fig14, fig2, fig3, fig5, fig6, oblivious, sched_study, serve_study, table10, table5,
     table7, table9, validate,
 };
-use pccs_telemetry::{audit, export, metrics, perfetto, Profiler, RunManifest, TraceLog};
+use pccs_telemetry::{audit, export, metrics, perfetto, Profiler, RunManifest};
 use serde_json::{Number, Value};
 use std::collections::BTreeMap;
 // Wall-clock timing is reporting-only here; it never feeds simulation state.
@@ -181,13 +182,10 @@ fn main() {
         audit::set_enabled(true);
         audit::drain();
     }
-    if json_dir.is_some() {
-        // Phase spans (model construction, sweeps) end up in trace.jsonl.
-        TraceLog::enable();
-    }
-    if trace_out.is_some() {
-        // Hierarchical spans for the Perfetto export; counter tracks are
-        // sampled from the metrics registry at each experiment boundary.
+    if json_dir.is_some() || trace_out.is_some() {
+        // One span set feeds both trace.jsonl and the Perfetto export;
+        // Perfetto counter tracks are sampled from the metrics registry at
+        // each experiment boundary.
         Profiler::enable();
     }
     let mut counter_samples: Vec<perfetto::CounterSample> = Vec::new();
@@ -215,9 +213,7 @@ fn main() {
     let t0 = Instant::now(); // pccs-lint: allow(nondeterminism)
     for name in &selected {
         let t = Instant::now(); // pccs-lint: allow(nondeterminism)
-        let span_name = format!("repro.{name}");
-        let _span = TraceLog::span(&span_name);
-        let _prof = Profiler::scope(&span_name);
+        let _span = Profiler::scope(&format!("repro.{name}"));
         let (report, json) = match name.as_str() {
             "fig2" => jsonify(fig2::run(&mut ctx), fig2::Fig2::format),
             "fig3" => jsonify(fig3::run(&mut ctx), fig3::Fig3::format),
@@ -266,8 +262,9 @@ fn main() {
         }
         println!("[{name} took {:.1?}]\n", t.elapsed());
     }
+    Profiler::disable();
+    let spans = Profiler::drain();
     if let Some(dir) = &json_dir {
-        let spans = TraceLog::drain();
         let path = format!("{dir}/trace.jsonl");
         if let Err(e) = std::fs::write(&path, export::jsonl_events(None, None, &spans)) {
             eprintln!("warning: could not write {path}: {e}");
@@ -287,8 +284,6 @@ fn main() {
         }
     }
     if let Some(path) = &trace_out {
-        Profiler::disable();
-        let spans = Profiler::drain();
         let text = perfetto::trace_json(&spans, &counter_samples);
         match std::fs::write(path, &text) {
             Ok(()) => println!(

@@ -27,7 +27,7 @@
 
 use crate::context::Context;
 use crate::error::Result;
-use pccs_telemetry::{metrics, Profiler, TraceLog};
+use pccs_telemetry::{metrics, Profiler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -122,8 +122,7 @@ impl SweepRunner {
     ///
     /// Panics if a worker thread panics (the panic is propagated).
     pub fn run<E: Experiment + Sync>(&self, exp: &E, ctx: &Context) -> Result<E::Output> {
-        let _prof = Profiler::scope(&format!("sweep.{}", exp.name()));
-        let mut span = TraceLog::span(&format!("sweep.{}", exp.name()));
+        let mut span = Profiler::scope(&format!("sweep.{}", exp.name()));
         let cache_before = ctx.profile_cache_stats();
         let (prep, cells) = exp.prepare(ctx)?;
         let workers = self.jobs().min(cells.len().max(1));

@@ -19,7 +19,7 @@ use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::{self, AuditRecord};
-use pccs_telemetry::{metrics, Profiler, TraceLog};
+use pccs_telemetry::{metrics, Profiler};
 use std::collections::BTreeMap;
 
 /// Floor for measured rates, lines per cycle.
@@ -329,8 +329,7 @@ pub fn run_schedule(
             });
         }
     }
-    let _prof = Profiler::scope("sched.replay");
-    let mut span = TraceLog::span("sched.run");
+    let mut span = Profiler::scope("sched.replay");
     span.counter("jobs", jobs.len() as f64);
 
     let mut probe = SimProbe::new(soc, cfg.probe.clone());

@@ -36,7 +36,7 @@ use pccs_soc::corun::CoRunConfig;
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::AuditRecord;
-use pccs_telemetry::{Profiler, TraceLog};
+use pccs_telemetry::Profiler;
 use pccs_workloads::calibrate::{build_model, CalibrationConfig};
 
 /// Floor for measured rates, lines per cycle.
@@ -433,8 +433,7 @@ pub fn run_serve(
         }
     }
     let arrivals = cfg.arrivals.generate(classes, cfg.duration, cfg.seed)?;
-    let _prof = Profiler::scope("serve.run");
-    let mut span = TraceLog::span("serve.run");
+    let mut span = Profiler::scope("serve.run");
     span.counter("arrivals", arrivals.len() as f64);
 
     let mut probe = SimProbe::new(soc, cfg.probe.clone());

@@ -14,7 +14,7 @@ use pccs_dram::policy::PolicyKind;
 use pccs_dram::request::SourceId;
 use pccs_dram::sim::{DramSystem, SimOutcome};
 use pccs_telemetry::audit::{self, AuditRecord};
-use pccs_telemetry::{metrics, EpochRecorder, Profiler, TraceLog};
+use pccs_telemetry::{metrics, EpochRecorder, Profiler};
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -435,8 +435,7 @@ impl CoRunSim {
 
     fn run_at(&self, horizon: u64) -> CoRunOutcome {
         assert!(horizon > 0, "horizon must be positive");
-        let _prof = Profiler::scope("sim.execute");
-        let mut span = TraceLog::span("corun.run");
+        let mut span = Profiler::scope("sim.execute");
         span.counter("placements", self.placements.len() as f64);
         span.counter("repeats", f64::from(self.config.repeats));
         span.counter("horizon", horizon as f64);

@@ -1,7 +1,7 @@
 //! Exporters: JSONL event stream, CSV time-series, and a human-readable
 //! per-source summary table.
 
-use crate::{RunManifest, TelemetryReport, TraceEvent};
+use crate::{ProfSpan, RunManifest, TelemetryReport};
 use serde::{Serialize, Value};
 use std::fmt::Write as _;
 
@@ -21,11 +21,11 @@ fn tagged(tag: &str, value: Value) -> Value {
 }
 
 /// Renders the run as a JSONL event stream: one `manifest` line, one
-/// `epoch` line per sample, one `span` line per trace event.
+/// `epoch` line per sample, one `span` line per profiler span.
 pub fn jsonl_events(
     manifest: Option<&RunManifest>,
     report: Option<&TelemetryReport>,
-    spans: &[TraceEvent],
+    spans: &[ProfSpan],
 ) -> String {
     let mut out = String::new();
     if let Some(m) = manifest {
@@ -314,10 +314,13 @@ mod tests {
     fn jsonl_lines_parse_and_tag() {
         let manifest = RunManifest::new("test", "0.0.0", "unit");
         let report = sample_report();
-        let spans = vec![TraceEvent {
+        let spans = vec![ProfSpan {
             name: "phase".to_owned(),
+            lane: 0,
+            depth: 0,
             start_us: 1,
-            duration_us: 5,
+            dur_us: 5,
+            self_us: 5,
             counters: vec![("n".to_owned(), 2.0)],
         }];
         let text = jsonl_events(Some(&manifest), Some(&report), &spans);
@@ -416,10 +419,13 @@ mod tests {
     #[test]
     fn jsonl_is_deterministic_with_sorted_keys() {
         let report = sample_report();
-        let spans = vec![TraceEvent {
+        let spans = vec![ProfSpan {
             name: "phase".to_owned(),
+            lane: 0,
+            depth: 0,
             start_us: 1,
-            duration_us: 5,
+            dur_us: 5,
+            self_us: 5,
             counters: vec![],
         }];
         let a = jsonl_events(None, Some(&report), &spans);

@@ -1,6 +1,6 @@
 //! Telemetry layer for the PCCS simulators.
 //!
-//! Four pieces, all optional and allocation-free on the hot path when
+//! Three pieces, all optional and allocation-free on the hot path when
 //! disabled:
 //!
 //! - [`Recorder`] — the hook trait the DRAM controller drives. The default
@@ -9,18 +9,18 @@
 //!   scheduler stall breakdown every N cycles into a [`TelemetryReport`].
 //! - [`LatencyHistogram`] — log-binned latency distribution with
 //!   p50/p95/p99/max, embedded in the DRAM per-source stats.
-//! - [`TraceLog`] — process-global scoped-span event log (begin/end wall
-//!   time plus counters) for model-construction and experiment phases.
-//! - [`export`] — JSONL event stream, CSV time-series, and human-readable
-//!   summary-table renderers, plus the [`RunManifest`] provenance record.
+//! - [`export`] — JSONL event stream (manifest, epoch and [`Profiler`]
+//!   span lines), CSV time-series, and human-readable summary-table
+//!   renderers, plus the [`RunManifest`] provenance record.
 //!
 //! The performance-observability layer (DESIGN.md §9) adds three more:
 //!
 //! - [`metrics`] — process-global registry of named counters and
 //!   high-watermark gauges; simulators publish local stats into it once
 //!   per run.
-//! - [`Profiler`] — hierarchical scoped profiler with per-thread lanes,
-//!   nesting depth, and self-time per phase.
+//! - [`Profiler`] — the one span mechanism: hierarchical scoped profiler
+//!   with per-thread lanes, nesting depth, self-time, and counters per
+//!   phase, for model construction, co-runs, sweeps and experiments.
 //! - [`perfetto`] — Chrome/Perfetto `trace.json` exporter for profiler
 //!   spans and counter tracks, plus the structural validator behind
 //!   `pccs trace-check`.
@@ -35,7 +35,6 @@ mod histogram;
 mod manifest;
 mod profiler;
 mod recorder;
-mod trace;
 
 /// Prediction-audit ledger: (prediction, ground-truth) pairs with
 /// provenance, plus accuracy scorecards sliced per SoC × PU × region ×
@@ -54,4 +53,3 @@ pub use profiler::{summary as profiler_summary, PhaseStats, ProfScope, ProfSpan,
 pub use recorder::{
     EpochRecorder, EpochSample, NoopRecorder, Recorder, RowEvent, StallEvent, TelemetryReport,
 };
-pub use trace::{SpanGuard, TraceEvent, TraceLog};

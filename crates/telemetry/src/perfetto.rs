@@ -261,6 +261,7 @@ mod tests {
             start_us,
             dur_us,
             self_us: dur_us,
+            counters: Vec::new(),
         }
     }
 

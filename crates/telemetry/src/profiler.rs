@@ -1,14 +1,16 @@
 //! Hierarchical scoped profiler with per-thread lanes and self-time.
 //!
 //! [`Profiler::scope`] opens a phase that records itself when the guard
-//! drops. Unlike [`crate::TraceLog`] (a flat event log), the profiler
-//! tracks *nesting*: each thread keeps a stack of open scopes, so a
-//! recorded [`ProfSpan`] knows its depth, its lane (a small integer
+//! drops, with any counters attached via [`ProfScope::counter`]. The
+//! profiler tracks *nesting*: each thread keeps a stack of open scopes, so
+//! a recorded [`ProfSpan`] knows its depth, its lane (a small integer
 //! assigned to each thread on first use), and its **self time** — the
 //! span's duration minus the time spent inside child spans. That is what
 //! lets the Perfetto exporter ([`crate::perfetto`]) lay spans out in
-//! per-worker lanes, and what makes the [`summary`] table answer "where
-//! did the time actually go" rather than "what enclosed what".
+//! per-worker lanes, what makes the [`summary`] table answer "where did
+//! the time actually go" rather than "what enclosed what", and what the
+//! JSONL exporter ([`crate::export::jsonl_events`]) writes as `span`
+//! lines.
 //!
 //! Disabled by default: a scope costs one relaxed atomic load and
 //! allocates nothing until [`Profiler::enable`] is called. Timing uses the
@@ -77,6 +79,8 @@ pub struct ProfSpan {
     pub dur_us: u64,
     /// Duration minus time spent in child scopes, in microseconds.
     pub self_us: u64,
+    /// Counters attached during the scope, in attachment order.
+    pub counters: Vec<(String, f64)>,
 }
 
 /// The global hierarchical profiler.
@@ -125,6 +129,7 @@ impl Profiler {
                 lane,
                 depth,
                 started: Instant::now(),
+                counters: Vec::new(),
             }),
         }
     }
@@ -140,11 +145,21 @@ struct ScopeInner {
     lane: u32,
     depth: u32,
     started: Instant,
+    counters: Vec<(String, f64)>,
 }
 
 /// Guard returned by [`Profiler::scope`]; records the span on drop.
 pub struct ProfScope {
     inner: Option<ScopeInner>,
+}
+
+impl ProfScope {
+    /// Attaches a named counter to the span (no-op when disabled).
+    pub fn counter(&mut self, name: &str, value: f64) {
+        if let Some(inner) = &mut self.inner {
+            inner.counters.push((name.to_owned(), value));
+        }
+    }
 }
 
 impl Drop for ProfScope {
@@ -172,6 +187,7 @@ impl Drop for ProfScope {
             start_us,
             dur_us,
             self_us: dur_us.saturating_sub(child_us),
+            counters: inner.counters,
         };
         spans().lock().expect("profiler log poisoned").push(span);
     }
@@ -213,17 +229,53 @@ pub fn summary(spans: &[ProfSpan]) -> Vec<PhaseStats> {
 mod tests {
     use super::*;
 
-    // One test covers the whole lifecycle because the profiler is
-    // process-global and tests run concurrently.
+    // The profiler is process-global and tests run concurrently, so every
+    // test that enables it holds this lock; no other test in this crate
+    // enables it.
+    static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
-    fn nesting_self_time_and_summary() {
+    fn span_lifecycle() {
+        let _guard = exclusive();
+        assert!(!Profiler::is_enabled());
         {
-            let _off = Profiler::scope("ignored-while-disabled");
+            let mut off = Profiler::scope("ignored-while-disabled");
+            off.counter("points", 1.0);
+            assert!(off.inner.is_none(), "a disabled scope holds nothing");
         }
-        let ignored_early = Profiler::is_enabled();
         Profiler::enable();
         {
-            let _outer = Profiler::scope("outer");
+            let mut fit = Profiler::scope("fit");
+            fit.counter("points", 12.0);
+            fit.counter("rows", 3.0);
+        }
+        Profiler::disable();
+        {
+            let _off = Profiler::scope("ignored-again");
+        }
+        let recorded = Profiler::drain();
+        let fit: Vec<_> = recorded.iter().filter(|s| s.name == "fit").collect();
+        assert_eq!(fit.len(), 1);
+        assert_eq!(
+            fit[0].counters,
+            vec![("points".to_owned(), 12.0), ("rows".to_owned(), 3.0)],
+            "counters attach in order"
+        );
+        assert!(!recorded.iter().any(|s| s.name.starts_with("ignored")));
+        assert!(Profiler::drain().is_empty(), "drain empties the log");
+    }
+
+    #[test]
+    fn nesting_self_time_and_summary() {
+        let _guard = exclusive();
+        Profiler::enable();
+        {
+            let mut outer = Profiler::scope("outer");
+            outer.counter("points", 12.0);
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
                 let _inner = Profiler::scope("inner");
@@ -240,11 +292,9 @@ mod tests {
         assert!(outer.dur_us >= inner.dur_us);
         // Outer self time excludes inner's full duration.
         assert!(outer.self_us <= outer.dur_us - inner.dur_us);
-        // Only assert the disabled-scope was dropped if no concurrent test
-        // had already enabled the global profiler when it opened.
-        if !ignored_early {
-            assert!(!recorded.iter().any(|s| s.name.starts_with("ignored")));
-        }
+        // Counters stay on the scope that set them.
+        assert_eq!(outer.counters, vec![("points".to_owned(), 12.0)]);
+        assert!(inner.counters.is_empty());
 
         let agg = summary(&recorded);
         let names: Vec<&str> = agg.iter().map(|p| p.name.as_str()).collect();
@@ -258,7 +308,6 @@ mod tests {
 
     #[test]
     fn lanes_differ_across_threads() {
-        Profiler::enable();
         let here = lane_id();
         let there = std::thread::spawn(lane_id).join().expect("join");
         assert_ne!(here, there);

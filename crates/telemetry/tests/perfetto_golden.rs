@@ -18,6 +18,7 @@ fn fixed_spans() -> Vec<ProfSpan> {
         start_us,
         dur_us,
         self_us: dur_us,
+        counters: Vec::new(),
     };
     vec![
         span("repro.oblivious", 0, 0, 0, 100),

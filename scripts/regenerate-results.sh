@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates the reference outputs stored under results/.
-# Full fidelity: expect ~20 minutes on a 16-core machine.
+# Full fidelity: the repro step alone took 2 min 43 s on a 2-vCPU VM
+# (all cores, i.e. --jobs 2); the bench and audit refreshes come on top.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
