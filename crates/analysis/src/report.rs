@@ -89,8 +89,8 @@ pub struct LintReport {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Total source lines across the scanned files (the `pccs bench`
-    /// `lint_workspace` workload reports lines/sec from this).
+    /// Total source lines across the scanned files (`tests/changed.rs`
+    /// bounds the work of a `--changed` run by this).
     pub lines_scanned: usize,
     /// Findings suppressed by `pccs-lint: allow(...)` waivers.
     pub waived: usize,

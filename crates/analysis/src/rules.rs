@@ -80,8 +80,8 @@ const PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
 const HOT_LOOP_CRATES: &[&str] = &["dram", "soc"];
 
 /// Metrics-registry entry points that take the registry lock; one call
-/// per loop iteration is the overhead the `pccs bench` budget guards
-/// against. Accumulate locally, publish once after the loop. Shared with
+/// per loop iteration would put registry cost on the per-cycle path
+/// (DESIGN.md §9.1). Accumulate locally, publish once after the loop. Shared with
 /// the symbol index, which records the metric-name literal at these call
 /// sites for the `metrics-registry-drift` rule.
 pub(crate) const METRICS_PUBLISH_FNS: &[&str] = &["add", "observe_max", "counter", "gauge"];

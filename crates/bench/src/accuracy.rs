@@ -1,9 +1,9 @@
 //! Accuracy baselines: the `ACCURACY_<host>_<date>.json` trajectory
 //! behind `pccs audit` and the CI accuracy gate.
 //!
-//! Where the throughput baseline (`BENCH_*.json`, crate root) answers
-//! "did the simulator get slower", this module answers "did the *model*
-//! get worse". [`run_accuracy`] replays the five validation figures
+//! Where the repository benchmark (`perfbench/`, `BENCHMARK.json`)
+//! answers "did the simulator get slower", this module answers "did the
+//! *model* get worse". [`run_accuracy`] replays the five validation figures
 //! (Figs. 8–12, `pccs_experiments::validate`) with the prediction-audit
 //! ledger enabled, slices the resulting records into a
 //! [`Scorecard`](pccs_telemetry::audit::Scorecard), and reports one mean
@@ -20,14 +20,14 @@
 //!
 //! The ledger's runtime cost is measured, not assumed: the report
 //! carries `audit_overhead_pct`, the canonical contended co-run timed
-//! with auditing on vs off (same best-of-N discipline as the bench
-//! harness). The test suite checks the disabled ledger deterministically
-//! instead: a run with it off records nothing and allocates nothing.
+//! with auditing on vs off (best of N runs each). The test suite checks
+//! the disabled ledger deterministically instead: a run with it off
+//! records nothing and allocates nothing.
 
-use crate::{best_of, hostname, today_utc};
+use crate::{best_of, contended_sim, hostname, today_utc};
 use pccs_experiments::context::{Context, Quality};
 use pccs_experiments::validate::{run as run_figure, Figure};
-use pccs_soc::corun::{CoRunSim, Placement, DEFAULT_HORIZON};
+use pccs_soc::corun::{CoRunSim, DEFAULT_HORIZON};
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::{self, AuditRecord, Scorecard};
 use pccs_workloads::rodinia::RodiniaBenchmark;
@@ -199,24 +199,19 @@ pub fn run_accuracy(quick: bool) -> AccuracyReport {
     }
 }
 
-/// The canonical contended co-run (streamcluster on the Xavier GPU under
-/// 40 GB/s of CPU pressure) with one registered expectation, so a record
-/// flows per run while the ledger is enabled.
+/// The canonical contended co-run ([`contended_sim`]) with one registered
+/// expectation, so a record flows per run while the ledger is enabled.
 fn audited_corun(soc: &SocConfig, horizon: u64) -> CoRunSim {
     let gpu = soc.pu_index("GPU").unwrap_or(0);
-    let cpu = soc.pu_index("CPU").unwrap_or(0);
     let kernel = RodiniaBenchmark::Streamcluster.kernel(soc.pus[gpu].kind);
     let standalone = CoRunSim::standalone(soc, gpu, &kernel, horizon);
-    let mut sim = CoRunSim::new(soc);
-    sim.horizon(horizon);
-    sim.place(Placement::kernel(gpu, kernel));
-    sim.external_pressure(cpu, 40.0);
+    let mut sim = contended_sim(soc, horizon);
     sim.expect_rs("bench-overhead", "streamcluster", "-", standalone, 80.0);
     sim
 }
 
-/// Times [`audited_corun`] with the ledger enabled vs disabled, best-of-N
-/// like the bench harness. Returns the enabled-mode overhead percent.
+/// Times [`audited_corun`] with the ledger enabled vs disabled, best of N
+/// runs each. Returns the enabled-mode overhead percent.
 fn measure_audit_overhead(quick: bool) -> f64 {
     let soc = SocConfig::xavier();
     let iterations = if quick { 3 } else { 5 };

@@ -230,7 +230,7 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
     let pu = pu_index(&soc, args.require("pu")?)?;
     let bench = args.require("bench")?;
     let kernel = bench_kernel(&soc, pu, bench)?;
-    let external = args.get_f64("external", 40.0)?;
+    let external = get_gbps(args, "external", 40.0)?;
     // `--quick` quarters the horizon for smoke runs (scripts/check.sh);
     // an explicit `--horizon` still wins.
     let default_horizon = if args.has("quick") {
@@ -629,7 +629,7 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
 
 /// `pccs policies` — the Section 2.3 policy comparison on the CMP config.
 pub fn policies(args: &Args) -> Result<(), ArgError> {
-    let victim = args.get_f64("victim", 48.0)?;
+    let victim = get_gbps(args, "victim", 48.0)?;
     let horizon = 30_000;
     let pressures = [0.0, 24.0, 48.0, 80.0, 120.0];
 
@@ -754,48 +754,6 @@ pub fn lint(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-/// `pccs bench` — runs the fixed benchmark workloads ([`pccs_bench`]) and
-/// writes the schema-validated `BENCH_<host>_<date>.json` baseline (plus a
-/// CSV companion next to it). `--quick` shrinks horizons for CI smoke use;
-/// `--out` overrides the canonical file name.
-pub fn bench(args: &Args) -> Result<(), ArgError> {
-    let quick = args.has("quick");
-    eprintln!(
-        "running pccs bench ({} workload sizes) ...",
-        if quick { "quick" } else { "full" }
-    );
-    let report = pccs_bench::run_all(quick);
-    let json = report.to_json();
-    pccs_bench::validate(&json).map_err(|e| ArgError(format!("bench report invalid: {e}")))?;
-    let path = args
-        .get("out")
-        .map(str::to_owned)
-        .unwrap_or_else(|| report.filename());
-    let mut text = serde_json::to_string_pretty(&json)
-        .map_err(|e| ArgError(format!("serialization failed: {e}")))?;
-    text.push('\n');
-    fs::write(&path, text).map_err(|e| ArgError(format!("writing {path}: {e}")))?;
-    let csv_path = if let Some(stripped) = path.strip_suffix(".json") {
-        format!("{stripped}.csv")
-    } else {
-        format!("{path}.csv")
-    };
-    fs::write(&csv_path, report.to_csv())
-        .map_err(|e| ArgError(format!("writing {csv_path}: {e}")))?;
-    for (name, w) in &report.workloads {
-        let rate = match (w.cycles_per_sec, w.cells_per_sec) {
-            (Some(c), _) => format!("{c:>12.0} cycles/s"),
-            (_, Some(c)) => format!("{c:>12.1} cells/s"),
-            _ => "            —".to_owned(),
-        };
-        println!("{name:<18} {:>8.3}s  {rate}", w.wall_secs);
-    }
-    let overhead = report.workloads["corun_contended"].extra["metrics_overhead_pct"];
-    println!("metrics registry overhead: {overhead:.2}% (budget 5%)");
-    println!("baseline written to {path} (+ {csv_path})");
-    Ok(())
-}
-
 /// `pccs audit` — replays the validation figures with the prediction-audit
 /// ledger enabled, prints the accuracy scorecard, and writes the
 /// schema-validated `ACCURACY_<host>_<date>.json` baseline. `--check
@@ -814,6 +772,15 @@ pub fn audit(args: &Args) -> Result<(), ArgError> {
         accuracy::validate(&value).map_err(|e| ArgError(format!("{path}: {e}")))?;
         println!("{path}: valid {} report", accuracy::SCHEMA);
         return Ok(());
+    }
+    // Read the gate's tolerance before the audit runs, so a bad value
+    // fails fast. A NaN would pass every comparison and a negative value
+    // would fail every one.
+    let tolerance = args.get_f64("tolerance", accuracy::DEFAULT_TOLERANCE_PCT_POINTS)?;
+    if !(tolerance.is_finite() && tolerance >= 0.0) {
+        return Err(ArgError(format!(
+            "--tolerance must be a finite, non-negative number of pct points, got {tolerance}"
+        )));
     }
     let quick = args.has("quick");
     eprintln!(
@@ -834,7 +801,6 @@ pub fn audit(args: &Args) -> Result<(), ArgError> {
     fs::write(&path, text).map_err(|e| ArgError(format!("writing {path}: {e}")))?;
     println!("accuracy baseline written to {path}");
     if let Some(baseline_path) = args.get("check") {
-        let tolerance = args.get_f64("tolerance", accuracy::DEFAULT_TOLERANCE_PCT_POINTS)?;
         let text = fs::read_to_string(baseline_path)
             .map_err(|e| ArgError(format!("reading {baseline_path}: {e}")))?;
         let baseline: Value = serde_json::from_str(&text)

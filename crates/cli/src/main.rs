@@ -18,7 +18,6 @@
 //! pccs policies    [--victim 48]
 //! pccs lint        [--root .] [--json] [--changed <git-ref>]
 //!                  [--rule <name>] [--scope file|workspace]
-//! pccs bench       [--quick] [--out BENCH.json]
 //! pccs audit       [--quick] [--out ACCURACY.json] [--check baseline.json]
 //!                  [--tolerance 0.5] [--validate ACCURACY.json]
 //! pccs trace-check --file trace.json [--min-depth 3] [--min-counters 10]
@@ -34,12 +33,11 @@
 //! `pccs-sched`) and can export its per-decision records; `serve` runs the
 //! online serving loop of `pccs-serve` — open-loop arrivals, PCCS-guided
 //! admission control, batching, and per-class SLO accounting; `policies`
-//! reproduces the Section 2.3 scheduling-policy comparison; `bench` runs
-//! the fixed benchmark workloads and writes the `BENCH_<host>_<date>.json`
-//! baseline (DESIGN.md §9); `audit` replays the validation figures with
-//! the prediction-audit ledger enabled, prints the accuracy scorecard,
-//! writes the `ACCURACY_<host>_<date>.json` baseline, and can gate
-//! against a stored one (DESIGN.md §12); `trace-check` validates a
+//! reproduces the Section 2.3 scheduling-policy comparison; `audit`
+//! replays the validation figures with the prediction-audit ledger
+//! enabled, prints the accuracy scorecard, writes the
+//! `ACCURACY_<host>_<date>.json` baseline, and can gate against a stored
+//! one (DESIGN.md §12); `trace-check` validates a
 //! Chrome/Perfetto trace exported with `repro --trace-out`. Every
 //! subcommand rejects options it does not read (exit status 2).
 
@@ -74,7 +72,6 @@ USAGE:
   pccs policies     [--victim <GB/s>]
   pccs lint         [--root <path>] [--json] [--changed <git-ref>]
                     [--rule <name>] [--scope <file|workspace>]
-  pccs bench        [--quick] [--out <BENCH.json>]
   pccs audit        [--quick] [--out <ACCURACY.json>] [--check <baseline.json>]
                     [--tolerance <pct-points>] [--validate <ACCURACY.json>]
   pccs trace-check  --file <trace.json> [--min-depth <N>] [--min-counters <N>]
@@ -155,7 +152,6 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
         &["root", "json", "changed", "rule", "scope"],
         commands::lint,
     ),
-    ("bench", &["quick", "out"], commands::bench),
     (
         "audit",
         &["quick", "out", "check", "tolerance", "validate"],

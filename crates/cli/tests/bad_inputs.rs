@@ -1,6 +1,7 @@
-//! `pccs predict` and `pccs explore-freq` turn malformed outside input —
-//! negative or non-finite bandwidths, model files that break the model's
-//! invariants — into an error message and exit status 1, never a panic.
+//! `pccs predict`, `explore-freq`, `corun`, `policies` and `audit` turn
+//! malformed outside input — negative or non-finite bandwidths and
+//! tolerances, model files that break the model's invariants — into an
+//! error message and exit status 1, never a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -102,4 +103,46 @@ fn explore_freq_rejects_bad_inputs_before_profiling() {
     let mut args = base.to_vec();
     args.extend(["--model", &model]);
     assert_rejected(&args, "region boundaries unordered");
+}
+
+#[test]
+fn corun_and_policies_reject_bad_bandwidths() {
+    let corun = [
+        "corun",
+        "--soc",
+        "xavier",
+        "--pu",
+        "GPU",
+        "--bench",
+        "streamcluster",
+        "--quick",
+    ];
+    for value in ["-5", "NaN", "inf"] {
+        let mut args = corun.to_vec();
+        args.extend(["--external", value]);
+        assert_rejected(&args, "--external must be a finite, non-negative bandwidth");
+        assert_rejected(
+            &["policies", "--victim", value],
+            "--victim must be a finite, non-negative bandwidth",
+        );
+    }
+}
+
+#[test]
+fn audit_rejects_bad_tolerance_before_auditing() {
+    for value in ["NaN", "-0.5", "inf"] {
+        let args = [
+            "audit",
+            "--quick",
+            "--check",
+            "ACCURACY.json",
+            "--tolerance",
+            value,
+        ];
+        assert_rejected(&args, "--tolerance must be a finite, non-negative");
+        // The audit announces itself on stderr before it runs; a rejected
+        // tolerance must stop the command before that point.
+        let (_, stderr) = pccs(&args);
+        assert!(!stderr.contains("auditing model accuracy"), "{stderr}");
+    }
 }

@@ -191,18 +191,9 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
-    /// Creates a controller for the given memory geometry and policy.
+    /// Creates a controller for the given memory geometry and policy, with
+    /// the default address mapping.
     pub fn new(config: DramConfig, policy: Box<dyn SchedulingPolicy>) -> Self {
-        Self::with_mapping(config, policy, AddressMapping::default())
-    }
-
-    /// Creates a controller with an explicit address mapping (for the
-    /// mapping ablation).
-    pub fn with_mapping(
-        config: DramConfig,
-        policy: Box<dyn SchedulingPolicy>,
-        mapping: AddressMapping,
-    ) -> Self {
         let channels = (0..config.channels)
             .map(|_| ChannelState {
                 queue: Vec::with_capacity(config.queue_capacity),
@@ -227,7 +218,7 @@ impl MemoryController {
         let slab_capacity = config.queue_capacity * config.channels;
         Self {
             config,
-            mapping,
+            mapping: AddressMapping::default(),
             policy,
             channels,
             slab: Vec::with_capacity(slab_capacity),

@@ -29,15 +29,6 @@ impl DramSystem {
         }
     }
 
-    /// Creates a system around an existing controller (e.g. with a custom
-    /// policy or address mapping).
-    pub fn from_controller(controller: MemoryController) -> Self {
-        Self {
-            controller,
-            generators: Vec::new(),
-        }
-    }
-
     /// The memory geometry.
     pub fn config(&self) -> &DramConfig {
         self.controller.config()

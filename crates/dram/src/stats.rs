@@ -177,9 +177,6 @@ impl MemoryStats {
     /// the hot path.
     pub fn publish_metrics(&self) {
         use pccs_telemetry::metrics;
-        if !metrics::is_enabled() {
-            return;
-        }
         metrics::add("dram.cycles", self.elapsed_cycles);
         metrics::add("dram.bytes", self.total_bytes());
         metrics::add("dram.requests.served", self.total_served());

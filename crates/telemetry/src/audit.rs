@@ -23,7 +23,7 @@
 //! bundle), never per cycle. It is **disabled by default** — when off,
 //! [`record`] is one relaxed atomic load — and switched on by the audit
 //! consumers (`pccs audit`, `repro --audit-out`, the accuracy harness),
-//! which is also how the bench probe measures its overhead.
+//! which is also how the accuracy report measures the ledger's overhead.
 
 use crate::export;
 use serde::{Deserialize, Serialize};

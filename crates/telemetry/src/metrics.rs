@@ -13,16 +13,10 @@
 //! grows ([`Counter::add`]); a *gauge* keeps the maximum observed value
 //! ([`Gauge::observe`]). Both share one namespace — a name's semantics are
 //! fixed by its writers and documented in the name table.
-//!
-//! The whole registry can be switched off with [`set_enabled`] (one
-//! relaxed atomic load per publish call), which is how the benchmark
-//! harness measures the registry's own overhead.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Publish calls that reached the registry; see [`writes`].
 static WRITES: AtomicU64 = AtomicU64::new(0);
@@ -42,19 +36,8 @@ fn cell(name: &str) -> Arc<AtomicU64> {
     fresh
 }
 
-/// Turns metric publication on or off process-wide (default: on). When
-/// off, every publish call is one relaxed atomic load.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether metric publication is currently on.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// How many counter adds and gauge observations reached the registry
-/// since the process started (calls made while it was off do not count).
+/// since the process started.
 /// Not itself a metric: it is the deterministic cost of publication,
 /// which must not grow with simulated cycles.
 pub fn writes() -> u64 {
@@ -69,10 +52,8 @@ pub struct Counter(Arc<AtomicU64>);
 impl Counter {
     /// Adds `delta` to the counter.
     pub fn add(&self, delta: u64) {
-        if is_enabled() {
-            WRITES.fetch_add(1, Ordering::Relaxed);
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
+        WRITES.fetch_add(1, Ordering::Relaxed);
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -94,10 +75,8 @@ pub struct Gauge(Arc<AtomicU64>);
 impl Gauge {
     /// Raises the gauge to `value` if it is above the current watermark.
     pub fn observe(&self, value: u64) {
-        if is_enabled() {
-            WRITES.fetch_add(1, Ordering::Relaxed);
-            self.0.fetch_max(value, Ordering::Relaxed);
-        }
+        WRITES.fetch_add(1, Ordering::Relaxed);
+        self.0.fetch_max(value, Ordering::Relaxed);
     }
 
     /// The current watermark.
@@ -119,16 +98,12 @@ pub fn gauge(name: &str) -> Gauge {
 /// One-shot convenience: `counter(name).add(delta)` without keeping the
 /// handle. Costs one registry lock; fine at publish-once-per-run sites.
 pub fn add(name: &str, delta: u64) {
-    if is_enabled() {
-        counter(name).add(delta);
-    }
+    counter(name).add(delta);
 }
 
 /// One-shot convenience: `gauge(name).observe(value)`.
 pub fn observe_max(name: &str, value: u64) {
-    if is_enabled() {
-        gauge(name).observe(value);
-    }
+    gauge(name).observe(value);
 }
 
 /// A sorted snapshot of every registered metric and its current value.
@@ -143,8 +118,8 @@ pub fn snapshot() -> BTreeMap<String, u64> {
         .collect()
 }
 
-/// Zeroes every registered metric, keeping the names. Used by the bench
-/// harness so a report covers exactly one measured run.
+/// Zeroes every registered metric, keeping the names, so a following
+/// [`snapshot`] covers exactly one measured run.
 pub fn reset() {
     for value in registry()
         .lock()
@@ -187,17 +162,5 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn disabled_registry_drops_updates() {
-        let c = counter("test.metrics.disabled");
-        set_enabled(false);
-        c.add(5);
-        observe_max("test.metrics.disabled", 100);
-        set_enabled(true);
-        assert_eq!(c.get(), 0);
-        c.add(2);
-        assert_eq!(c.get(), 2);
     }
 }
