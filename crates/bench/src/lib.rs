@@ -14,7 +14,7 @@
 /// Model-accuracy baselines and the CI accuracy gate (`pccs audit`).
 pub mod accuracy;
 
-use pccs_soc::corun::{CoRunSim, Placement};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::soc::SocConfig;
 use pccs_workloads::rodinia::RodiniaBenchmark;
 // Wall-clock timing is the measurement itself here; it never feeds
@@ -112,8 +112,7 @@ pub fn contended_sim(soc: &SocConfig, horizon: u64) -> CoRunSim {
     let gpu = soc.pu_index("GPU").unwrap_or(0);
     let cpu = soc.pu_index("CPU").unwrap_or(0);
     let kernel = RodiniaBenchmark::Streamcluster.kernel(soc.pus[gpu].kind);
-    let mut sim = CoRunSim::new(soc);
-    sim.horizon(horizon);
+    let mut sim = CoRunSim::with_config(soc, CoRunConfig::default().with_horizon(horizon));
     sim.place(Placement::kernel(gpu, kernel));
     sim.external_pressure(cpu, 40.0);
     sim

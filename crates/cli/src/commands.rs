@@ -16,7 +16,7 @@ use pccs_serve::{
     boxed_models, calibrated_models, paper_models, run_serve, AdmissionPolicy, ArrivalProcess,
     ServeConfig,
 };
-use pccs_soc::corun::{CoRunSim, Placement, DEFAULT_HORIZON};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement, DEFAULT_HORIZON};
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::export::{self, SummaryRow};
@@ -238,11 +238,11 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
     } else {
         DEFAULT_HORIZON
     };
-    let horizon = args.get_f64("horizon", default_horizon as f64)? as u64;
+    let horizon = args.get_usize("horizon", default_horizon as usize)? as u64;
     if horizon == 0 {
         return Err(ArgError("--horizon must be positive".into()));
     }
-    let epoch = args.get_f64("epoch", 1_000.0)? as u64;
+    let epoch = args.get_usize("epoch", 1_000)? as u64;
     if epoch == 0 {
         return Err(ArgError("--epoch must be positive".into()));
     }
@@ -251,8 +251,7 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
         Profiler::enable();
     }
 
-    let mut sim = CoRunSim::new(&soc);
-    sim.horizon(horizon);
+    let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(horizon));
     if args.has("conformance") {
         sim.check_conformance();
     }
@@ -366,8 +365,8 @@ pub fn sched(args: &Args) -> Result<(), ArgError> {
         ))
     })?;
     let scale = args.get_f64("scale", 1.0)?;
-    if scale <= 0.0 {
-        return Err(ArgError("--scale must be positive".into()));
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(ArgError("--scale must be finite and positive".into()));
     }
     let mix = if (scale - 1.0).abs() > f64::EPSILON {
         mix.scaled(scale)
@@ -471,8 +470,8 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
     let classes = pccs_serve::request::contended_classes();
 
     let rate = args.get_f64("rate", 8.0)?;
-    if rate <= 0.0 {
-        return Err(ArgError("--rate must be positive".into()));
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(ArgError("--rate must be finite and positive".into()));
     }
     let arrivals = match args.get("arrivals").unwrap_or("poisson") {
         "poisson" => ArrivalProcess::Poisson {

@@ -1,7 +1,8 @@
-//! `pccs predict`, `explore-freq`, `corun`, `policies` and `audit` turn
-//! malformed outside input — negative or non-finite bandwidths and
-//! tolerances, model files that break the model's invariants — into an
-//! error message and exit status 1, never a panic.
+//! `pccs predict`, `explore-freq`, `corun`, `policies`, `audit`, `sched`
+//! and `serve` turn malformed outside input — negative or non-finite
+//! bandwidths, tolerances, scales and rates, non-integer cycle counts,
+//! model files that break the model's invariants — into an error message
+//! and exit status 1, never a panic or a hang.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -144,5 +145,48 @@ fn audit_rejects_bad_tolerance_before_auditing() {
         // tolerance must stop the command before that point.
         let (_, stderr) = pccs(&args);
         assert!(!stderr.contains("auditing model accuracy"), "{stderr}");
+    }
+}
+
+#[test]
+fn corun_horizon_and_epoch_must_be_integers() {
+    let corun = [
+        "corun",
+        "--soc",
+        "xavier",
+        "--pu",
+        "GPU",
+        "--bench",
+        "streamcluster",
+        "--quick",
+    ];
+    for (flag, value) in [
+        ("--horizon", "inf"),
+        ("--horizon", "1e30"),
+        ("--horizon", "2.9"),
+        ("--horizon", "-3"),
+        ("--epoch", "inf"),
+        ("--epoch", "0.5"),
+    ] {
+        let mut args = corun.to_vec();
+        args.extend([flag, value]);
+        assert_rejected(&args, &format!("{flag} expects an integer"));
+    }
+    let mut args = corun.to_vec();
+    args.extend(["--horizon", "0"]);
+    assert_rejected(&args, "--horizon must be positive");
+}
+
+#[test]
+fn sched_scale_and_serve_rate_must_be_finite_and_positive() {
+    for value in ["NaN", "inf", "0", "-2"] {
+        assert_rejected(
+            &["sched", "--quick", "--scale", value],
+            "--scale must be finite and positive",
+        );
+        assert_rejected(
+            &["serve", "--quick", "--policy", "greedy", "--rate", value],
+            "--rate must be finite and positive",
+        );
     }
 }

@@ -27,7 +27,7 @@ use crate::policy::{Candidate, ScheduleInput, SchedulingPolicy};
 use crate::request::{DecodedAddr, MemoryRequest, ReqKind, SourceId};
 use crate::stats::MemoryStats;
 use crate::timing::{DramTiming, RowOutcome};
-use pccs_telemetry::{Recorder, RowEvent, StallEvent, TelemetryReport};
+use pccs_telemetry::{EpochRecorder, RowEvent, StallEvent, TelemetryReport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -183,8 +183,8 @@ pub struct MemoryController {
     /// Queued requests per source, indexed by `SourceId.0`.
     pending_per_source: Vec<usize>,
     completions: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Optional telemetry sink; `None` costs one branch per hook site.
-    recorder: Option<Box<dyn Recorder>>,
+    /// Optional epoch telemetry; `None` costs one branch per hook site.
+    recorder: Option<EpochRecorder>,
     /// Optional protocol conformance observer; `None` costs one branch per
     /// issued request.
     conformance: Option<ConformanceChecker>,
@@ -247,18 +247,18 @@ impl MemoryController {
         self.conformance.as_ref().map(ConformanceChecker::finish)
     }
 
-    /// Attaches a telemetry recorder that will receive per-cycle queue
-    /// depth, per-serve, and scheduler-stall events.
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.recorder = Some(recorder);
+    /// Attaches an epoch recorder sampling per-cycle queue depth,
+    /// per-serve, and scheduler-stall events every `epoch_cycles` cycles.
+    pub fn record_epochs(&mut self, epoch_cycles: u64) {
+        self.recorder = Some(EpochRecorder::new(epoch_cycles));
     }
 
-    /// Flushes the attached recorder at `cycle` and returns its report,
-    /// if it produces one.
-    pub fn take_report(&mut self, cycle: u64) -> Option<TelemetryReport> {
+    /// Flushes the epoch recorder and returns its report, or `None` when
+    /// none was attached.
+    pub fn take_report(&mut self) -> Option<TelemetryReport> {
         let r = self.recorder.as_mut()?;
-        r.finish(cycle);
-        r.report()
+        r.finish();
+        Some(r.report())
     }
 
     /// The memory geometry this controller drives.
@@ -609,7 +609,7 @@ impl MemoryController {
                 RowOutcome::Miss => RowEvent::Miss,
                 RowOutcome::Conflict => RowEvent::Conflict,
             };
-            r.on_serve(cycle, q.req.source.0, u64::from(q.req.bytes), latency, row);
+            r.on_serve(cycle, q.req.source.0, u64::from(q.req.bytes), row);
         }
         self.completions
             .push(Reverse((finish, q.req.id, q.req.source.0)));
@@ -908,9 +908,8 @@ mod tests {
 
     #[test]
     fn recorder_reconciles_with_aggregate_stats() {
-        use pccs_telemetry::EpochRecorder;
         let mut mc = controller(PolicyKind::FrFcfs);
-        mc.set_recorder(Box::new(EpochRecorder::new(64)));
+        mc.record_epochs(64);
         for i in 0..32u64 {
             mc.try_enqueue(MemoryRequest::read(
                 i,
@@ -921,8 +920,7 @@ mod tests {
             .unwrap();
         }
         run_until_complete(&mut mc, 32, 10_000);
-        let last = mc.stats().elapsed_cycles;
-        let report = mc.take_report(last).expect("epoch recorder reports");
+        let report = mc.take_report().expect("epoch recorder reports");
         assert_eq!(report.total_bytes(), mc.stats().total_bytes());
         let sched = &mc.stats().scheduler;
         let issued: u64 = report.epochs.iter().map(|e| e.issued).sum();

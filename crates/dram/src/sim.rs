@@ -1,63 +1,102 @@
-//! The top-level DRAM simulation loop: traffic sources feeding a memory
-//! controller for a fixed horizon.
+//! The top-level DRAM simulation loop: traffic sources feeding one or more
+//! memory controllers for a fixed horizon.
 
 use crate::config::DramConfig;
 use crate::conformance::ConformanceReport;
 use crate::controller::{Completion, MemoryController};
 use crate::policy::PolicyKind;
-use crate::request::SourceId;
+use crate::request::{MemoryRequest, SourceId};
 use crate::stats::MemoryStats;
 use crate::timing::DramTiming;
 use crate::traffic::TrafficSource;
-use pccs_telemetry::{Recorder, TelemetryReport};
+use pccs_telemetry::TelemetryReport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// A complete DRAM simulation: a controller plus a set of traffic sources.
+/// A complete DRAM simulation: memory controllers plus a set of traffic
+/// sources.
+///
+/// One controller is the paper's target SoC. Several controllers are its
+/// Section 5 multi-MC extension ("considering specific address mappings
+/// and coordinations between MCs"): the channels split evenly across
+/// independent controllers, each with its *own* scheduling policy instance
+/// (fairness state is per-MC, exactly the coordination gap the paper
+/// highlights), while consecutive lines still interleave across all
+/// channels of all MCs.
 #[derive(Debug)]
 pub struct DramSystem {
-    controller: MemoryController,
+    total: DramConfig,
+    controllers: Vec<MemoryController>,
     generators: Vec<Box<dyn TrafficSource>>,
 }
 
 impl DramSystem {
-    /// Creates a system with the given geometry and scheduling policy.
+    /// Creates a single-controller system with the given geometry and
+    /// scheduling policy.
     pub fn new(config: DramConfig, policy: PolicyKind) -> Self {
+        Self::with_controllers(config, 1, policy)
+    }
+
+    /// Splits the `total` geometry across `mc_count` controllers running
+    /// `policy` (each gets an independent policy instance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mc_count` is zero or does not divide the channel count.
+    pub fn with_controllers(total: DramConfig, mc_count: usize, policy: PolicyKind) -> Self {
+        assert!(mc_count > 0, "at least one controller required");
+        assert_eq!(
+            total.channels % mc_count,
+            0,
+            "channel count {} must divide evenly across {} MCs",
+            total.channels,
+            mc_count
+        );
+        let per_mc = total.with_channels(total.channels / mc_count);
+        let controllers = (0..mc_count)
+            .map(|_| MemoryController::new(per_mc.clone(), policy.instantiate()))
+            .collect();
         Self {
-            controller: MemoryController::new(config, policy.instantiate()),
+            total,
+            controllers,
             generators: Vec::new(),
         }
     }
 
-    /// The memory geometry.
+    /// The memory geometry, all controllers together.
     pub fn config(&self) -> &DramConfig {
-        self.controller.config()
+        &self.total
     }
 
-    /// Adds a traffic source; it is bound to this system's geometry.
+    /// Adds a traffic source; it is bound to the whole system's geometry,
+    /// so its demand accounting sees every channel.
     pub fn add_generator<T: TrafficSource + 'static>(&mut self, mut generator: T) {
-        generator.bind(self.controller.config());
+        generator.bind(&self.total);
         self.generators.push(Box::new(generator));
     }
 
-    /// Attaches a telemetry recorder to the controller; its report lands
-    /// in [`SimOutcome::telemetry`].
-    pub fn set_recorder(&mut self, recorder: Box<dyn Recorder>) {
-        self.controller.set_recorder(recorder);
+    /// Attaches an epoch recorder to every controller; their reports are
+    /// merged by epoch index into [`SimOutcome::telemetry`].
+    pub fn record_epochs(&mut self, epoch_cycles: u64) {
+        for mc in &mut self.controllers {
+            mc.record_epochs(epoch_cycles);
+        }
     }
 
-    /// Attaches the DDR protocol conformance sanitizer, validating the
-    /// emitted command stream against this system's own timing; the report
-    /// lands in [`SimOutcome::conformance`].
+    /// Attaches the DDR protocol conformance sanitizer to every
+    /// controller, validating the emitted command streams against this
+    /// system's own timing; the merged report lands in
+    /// [`SimOutcome::conformance`].
     pub fn enable_conformance(&mut self) {
-        let timing = self.controller.config().timing;
-        self.controller.enable_conformance(timing);
+        self.enable_conformance_against(self.total.timing);
     }
 
     /// Like [`DramSystem::enable_conformance`] but validating against an
     /// explicit `reference` timing (to audit a deliberately broken config).
     pub fn enable_conformance_against(&mut self, reference: DramTiming) {
-        self.controller.enable_conformance(reference);
+        for mc in &mut self.controllers {
+            mc.enable_conformance(reference);
+        }
     }
 
     /// Runs the simulation for `horizon` memory-controller cycles and
@@ -77,10 +116,10 @@ impl DramSystem {
     pub fn run_with_warmup(self, warmup: u64, horizon: u64) -> SimOutcome {
         assert!(warmup < horizon, "warmup must be shorter than the horizon");
         let DramSystem {
-            mut controller,
+            total,
+            mut controllers,
             mut generators,
         } = self;
-        let config = controller.config().clone();
         let mut warmup_progress: BTreeMap<SourceId, u64> = BTreeMap::new();
         let mut warmup_bytes: BTreeMap<SourceId, u64> = BTreeMap::new();
         let routes = completion_routes(&generators);
@@ -91,23 +130,32 @@ impl DramSystem {
                 for g in &generators {
                     warmup_progress.insert(g.source_id(), g.progress());
                 }
-                for (src, st) in &controller.stats().per_source {
-                    warmup_bytes.insert(*src, st.bytes);
+                for mc in &controllers {
+                    for (src, st) in &mc.stats().per_source {
+                        *warmup_bytes.entry(*src).or_insert(0) += st.bytes;
+                    }
                 }
             }
             // Let every source emit as much as it can this cycle.
             for generator in &mut generators {
                 while let Some(req) = generator.poll(now) {
-                    if let Err(back) = controller.try_enqueue(req) {
-                        generator.on_reject(back);
+                    let (mc, addr) = route_addr(req.addr, &total, controllers.len());
+                    if controllers[mc]
+                        .try_enqueue(MemoryRequest { addr, ..req })
+                        .is_err()
+                    {
+                        // Hand the *original* request back for retry.
+                        generator.on_reject(req);
                         break;
                     }
                 }
             }
-            // Advance the controller; deliver completions.
-            buf.clear();
-            controller.tick_into(now, &mut buf);
-            deliver(&routes, &mut generators, &buf);
+            // Advance every controller; deliver completions.
+            for mc in &mut controllers {
+                buf.clear();
+                mc.tick_into(now, &mut buf);
+                deliver(&routes, &mut generators, &buf);
+            }
         }
 
         let completed: BTreeMap<SourceId, u64> = generators
@@ -118,9 +166,20 @@ impl DramSystem {
             .iter()
             .map(|g| (g.source_id(), g.progress()))
             .collect();
-        let telemetry = controller.take_report(horizon);
-        let conformance = controller.conformance_report();
-        let stats = controller.into_stats();
+        // Merge across controllers; the first one's results are taken as-is.
+        let mut telemetry: Option<TelemetryReport> = None;
+        let mut conformance: Option<ConformanceReport> = None;
+        let mut stats: Option<MemoryStats> = None;
+        for mut mc in controllers {
+            absorb(&mut telemetry, mc.take_report(), TelemetryReport::merge);
+            absorb(
+                &mut conformance,
+                mc.conformance_report(),
+                ConformanceReport::merge,
+            );
+            absorb(&mut stats, Some(mc.into_stats()), MemoryStats::merge);
+        }
+        let stats = stats.unwrap_or_default();
         stats.publish_metrics();
         let measured = MeasureWindow {
             cycles: horizon - warmup,
@@ -136,7 +195,7 @@ impl DramSystem {
         };
         SimOutcome {
             stats,
-            config,
+            config: total,
             horizon,
             completed,
             progress,
@@ -147,9 +206,41 @@ impl DramSystem {
     }
 }
 
+/// Folds `next` into `acc` with `merge`; the first value is taken as-is.
+fn absorb<T>(acc: &mut Option<T>, next: Option<T>, merge: impl FnOnce(&mut T, &T)) {
+    match (acc.as_mut(), next) {
+        (Some(merged), Some(next)) => merge(merged, &next),
+        (None, next) => *acc = next,
+        (Some(_), None) => {}
+    }
+}
+
+/// Which controller serves `addr` among `mc_count` splitting `total`, and
+/// the controller-local address. Lines interleave across controllers
+/// first, so adjacent lines hit different controllers; with one controller
+/// the mapping is the identity.
+pub(crate) fn route_addr(addr: u64, total: &DramConfig, mc_count: usize) -> (usize, u64) {
+    if mc_count == 1 {
+        return (0, addr);
+    }
+    let line_bytes = u64::from(total.line_bytes);
+    let offset = addr % line_bytes;
+    let line = addr / line_bytes;
+    let c_total = total.channels as u64;
+    let mc_count = mc_count as u64;
+    let per_mc_channels = c_total / mc_count;
+
+    let global_channel = line % c_total;
+    let blk = line / c_total;
+    let mc = (global_channel % mc_count) as usize;
+    let local_channel = global_channel / mc_count;
+    let local_line = blk * per_mc_channels + local_channel;
+    (mc, local_line * line_bytes + offset)
+}
+
 /// Which generator receives each source's completions, indexed by
 /// `SourceId.0`: the first generator with that id, or `None`.
-pub(crate) fn completion_routes(generators: &[Box<dyn TrafficSource>]) -> Vec<Option<usize>> {
+fn completion_routes(generators: &[Box<dyn TrafficSource>]) -> Vec<Option<usize>> {
     let mut routes = Vec::new();
     for (idx, generator) in generators.iter().enumerate() {
         generator
@@ -162,7 +253,7 @@ pub(crate) fn completion_routes(generators: &[Box<dyn TrafficSource>]) -> Vec<Op
 
 /// Hands each completion to its source's generator along `routes`;
 /// completions of sources without a generator are dropped.
-pub(crate) fn deliver(
+fn deliver(
     routes: &[Option<usize>],
     generators: &mut [Box<dyn TrafficSource>],
     completions: &[Completion],
@@ -456,7 +547,6 @@ mod tests {
 
     #[test]
     fn epoch_telemetry_reconciles_with_stats() {
-        use pccs_telemetry::EpochRecorder;
         let mut sys = system(PolicyKind::FrFcfs);
         sys.add_generator(
             StreamTraffic::builder(SourceId(0))
@@ -465,7 +555,7 @@ mod tests {
                 .window(64)
                 .build(),
         );
-        sys.set_recorder(Box::new(EpochRecorder::new(1000)));
+        sys.record_epochs(1000);
         let out = sys.run(20_000);
         let report = out.telemetry.as_ref().expect("recorder attached");
         assert_eq!(report.epoch_cycles, 1000);
@@ -536,5 +626,13 @@ mod tests {
         let out = sys.run(20_000);
         assert!(out.completed[&SourceId(0)] > 0);
         assert_eq!(out.horizon, 20_000);
+    }
+
+    #[test]
+    fn one_controller_routes_by_identity() {
+        let total = DramConfig::xavier();
+        for addr in [0, 17, 64, 12 * 64 + 5, 1 << 33] {
+            assert_eq!(route_addr(addr, &total, 1), (0, addr));
+        }
     }
 }

@@ -128,6 +128,34 @@ impl MemoryStats {
         s.latency.record(latency);
     }
 
+    /// Adds another controller's statistics (multi-controller systems):
+    /// counts sum; latency maxima, elapsed cycles and the queue
+    /// high-watermark take the max.
+    pub(crate) fn merge(&mut self, other: &MemoryStats) {
+        for (src, per) in &other.per_source {
+            let agg = self.source_mut(*src);
+            agg.served += per.served;
+            agg.bytes += per.bytes;
+            agg.row_hits += per.row_hits;
+            agg.row_misses += per.row_misses;
+            agg.row_conflicts += per.row_conflicts;
+            agg.total_latency += per.total_latency;
+            agg.max_latency = agg.max_latency.max(per.max_latency);
+            agg.enqueued += per.enqueued;
+            agg.rejected += per.rejected;
+            agg.latency.merge(&per.latency);
+        }
+        self.elapsed_cycles = self.elapsed_cycles.max(other.elapsed_cycles);
+        let (s, o) = (&mut self.scheduler, &other.scheduler);
+        s.issued += o.issued;
+        s.bus_blocked += o.bus_blocked;
+        s.no_candidate += o.no_candidate;
+        s.idle += o.idle;
+        // A high-watermark merges by max: the deepest single channel queue
+        // anywhere in the system, not a sum across controllers.
+        s.queue_hwm = s.queue_hwm.max(o.queue_hwm);
+    }
+
     /// Total bytes served across all sources.
     pub fn total_bytes(&self) -> u64 {
         self.per_source.values().map(|s| s.bytes).sum()

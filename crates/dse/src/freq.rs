@@ -2,7 +2,7 @@
 //! Table 9, Figure 15).
 
 use pccs_core::SlowdownModel;
-use pccs_soc::corun::{CoRunSim, Placement};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use serde::{Deserialize, Serialize};
@@ -136,8 +136,8 @@ pub fn ground_truth_frequency(
         .iter()
         .map(|&f| {
             let reclocked = soc.with_pu(pu_idx, soc.pus[pu_idx].with_frequency(f));
-            let mut sim = CoRunSim::new(&reclocked);
-            sim.horizon(horizon);
+            let mut sim =
+                CoRunSim::with_config(&reclocked, CoRunConfig::default().with_horizon(horizon));
             sim.place(Placement::kernel(pu_idx, kernel.clone()));
             sim.external_pressure(pressure_pu, external_gbps);
             let out = sim.execute();

@@ -9,7 +9,7 @@
 //! co-runs), and the scaled model predicts the co-run slowdown.
 
 use pccs_core::{PccsModel, SlowdownModel};
-use pccs_soc::corun::{CoRunSim, Placement};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use serde::{Deserialize, Serialize};
@@ -76,8 +76,8 @@ pub fn explore_memory_configs(
                 } else {
                     candidate.pu_index("CPU").expect("CPU")
                 };
-                let mut sim = CoRunSim::new(&candidate);
-                sim.horizon(horizon);
+                let mut sim =
+                    CoRunSim::with_config(&candidate, CoRunConfig::default().with_horizon(horizon));
                 sim.place(Placement::kernel(pu_idx, kernel.clone()));
                 sim.external_pressure(pressure, external_gbps);
                 sim.execute()

@@ -132,9 +132,7 @@ impl Experiment for Fig14Experiment {
             .collect();
 
         // The actual 3-PU co-run.
-        let mut sim = CoRunSim::new(&prep.soc);
-        sim.horizon(ctx.horizon());
-        sim.repeats(ctx.repeats());
+        let mut sim = CoRunSim::with_config(&prep.soc, ctx.corun_config());
         for (pu, _, _, k) in &kernels {
             sim.place(Placement::kernel(*pu, k.clone()));
         }

@@ -93,9 +93,7 @@ impl Experiment for Fig2Experiment {
 
     fn run_cell(&self, ctx: &Context, prep: &Fig2Prep, &(s, y): &(usize, f64)) -> Result<f64> {
         let setup = &prep.setups[s];
-        let mut sim = CoRunSim::new(&prep.soc);
-        sim.horizon(ctx.horizon());
-        sim.repeats(ctx.repeats());
+        let mut sim = CoRunSim::with_config(&prep.soc, ctx.corun_config());
         sim.place(Placement::kernel(setup.pu, setup.kernel.clone()));
         sim.external_pressure(setup.pressure_pu, y);
         let out = sim.execute();

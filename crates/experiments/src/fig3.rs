@@ -91,9 +91,7 @@ impl Experiment for Fig3Experiment {
 
     fn run_cell(&self, ctx: &Context, prep: &Fig3Prep, &(l, y): &(usize, f64)) -> Result<f64> {
         let (_, kernel, standalone) = &prep.levels[l];
-        let mut sim = CoRunSim::new(&prep.soc);
-        sim.horizon(ctx.horizon());
-        sim.repeats(ctx.repeats());
+        let mut sim = CoRunSim::with_config(&prep.soc, ctx.corun_config());
         sim.place(Placement::kernel(prep.gpu, kernel.clone()));
         sim.external_pressure(prep.cpu, y);
         let out = sim.execute();

@@ -132,9 +132,7 @@ impl Experiment for ObliviousExperiment {
         prep: &ObliviousPrep,
         cell: &ObliviousCell,
     ) -> Result<(f64, CompositionPoint)> {
-        let mut sim = CoRunSim::new(&prep.soc);
-        sim.horizon(ctx.horizon());
-        sim.repeats(ctx.repeats());
+        let mut sim = CoRunSim::with_config(&prep.soc, ctx.corun_config());
         sim.place(Placement::kernel(prep.gpu, prep.kernel.clone()));
         for &(pu, gbps) in &cell.sources {
             sim.external_pressure(pu, gbps);

@@ -223,9 +223,8 @@ impl Experiment for Table9Experiment {
                 let sweep: Vec<f64> = vec![10.0, 30.0, 50.0, 70.0, 90.0];
                 let mut curve = Vec::new();
                 for &y in &sweep {
-                    let mut sim = pccs_soc::corun::CoRunSim::new(&reclocked);
-                    sim.horizon(ctx.horizon());
-                    sim.repeats(ctx.repeats());
+                    let mut sim =
+                        pccs_soc::corun::CoRunSim::with_config(&reclocked, ctx.corun_config());
                     sim.place(pccs_soc::corun::Placement::kernel(
                         prep.gpu,
                         prep.kernel.clone(),

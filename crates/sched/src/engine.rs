@@ -8,6 +8,11 @@
 //! probes go through a shared cache keyed by the placement set, which is
 //! what makes the oracle policy affordable: its candidate probes and the
 //! engine's own measurements share the same simulations.
+//!
+//! The replay core — `InFlight` jobs, `build_input`, `any_free` and
+//! `advance` — is public because the online serving loop (`pccs-serve`)
+//! runs on it too; only arrival handling and completion bookkeeping differ
+//! between the two engines.
 
 use crate::error::SchedError;
 use crate::job::Job;
@@ -23,7 +28,7 @@ use pccs_telemetry::{metrics, Profiler};
 use std::collections::BTreeMap;
 
 /// Floor for measured rates, lines per cycle.
-const MIN_RATE: f64 = 1e-9;
+pub const MIN_RATE: f64 = 1e-9;
 
 /// Work below this many lines counts as finished.
 const WORK_EPSILON: f64 = 1e-6;
@@ -152,27 +157,69 @@ impl Probe for SimProbe<'_> {
     }
 }
 
-/// A job in flight. Carries the placement decision's predicted cost and
-/// provenance so completion can resolve the prediction into an
-/// audit-ledger pair.
+/// A job in flight on one PU, carrying caller data (`tag`) to its
+/// completion. Both the offline replay and the serving loop run on it.
 #[derive(Debug)]
-struct Running {
-    job: Job,
-    pu_idx: usize,
+pub struct InFlight<T> {
+    /// The job.
+    pub job: Job,
+    /// The PU it occupies.
+    pub pu_idx: usize,
+    /// Index of its current phase.
     phase: usize,
+    /// Work left in the current phase, lines.
     remaining_lines: f64,
-    start: f64,
-    predicted_cost: f64,
-    placed_by: String,
-    region: String,
+    /// Placement time, cycles.
+    pub start: f64,
+    /// Caller data: placement provenance, request membership, ...
+    pub tag: T,
 }
 
-impl Running {
-    fn kernel<'k>(&'k self, soc: &SocConfig) -> &'k KernelDesc {
+impl<T> InFlight<T> {
+    /// `job` placed on PU `pu_idx` at cycle `start`, at the top of its
+    /// first phase.
+    pub fn new(job: Job, pu_idx: usize, start: f64, tag: T) -> Self {
+        let remaining_lines = job.phases[0].work_lines;
+        Self {
+            job,
+            pu_idx,
+            phase: 0,
+            remaining_lines,
+            start,
+            tag,
+        }
+    }
+
+    /// The kernel of the current phase on this job's PU.
+    pub fn kernel<'k>(&'k self, soc: &SocConfig) -> &'k KernelDesc {
         self.job.phases[self.phase]
             .kernel_for(soc.pus[self.pu_idx].kind)
             .expect("placement was validated against eligibility")
     }
+
+    /// Cycles until the job finishes at standalone rates: the current
+    /// phase's remaining work plus every later phase.
+    pub fn drain_cycles(&self, probe: &mut SimProbe, soc: &SocConfig) -> f64 {
+        let (rate, _) = probe.standalone(self.pu_idx, self.kernel(soc));
+        let mut left = self.remaining_lines / rate.max(MIN_RATE);
+        for ph in &self.job.phases[self.phase + 1..] {
+            let k = ph
+                .kernel_for(soc.pus[self.pu_idx].kind)
+                .expect("placement was validated against eligibility");
+            let (rate, _) = probe.standalone(self.pu_idx, k);
+            left += ph.work_lines / rate.max(MIN_RATE);
+        }
+        left
+    }
+}
+
+/// Placement provenance a replayed job carries to completion, where it
+/// resolves into an audit-ledger pair.
+#[derive(Debug)]
+struct Placed {
+    predicted_cost: f64,
+    placed_by: &'static str,
+    region: &'static str,
 }
 
 /// Standalone execution time of `job` on PU `pu_idx`, summed over phases.
@@ -189,12 +236,19 @@ fn standalone_cycles(probe: &mut SimProbe, soc: &SocConfig, job: &Job, pu_idx: u
         .sum()
 }
 
-fn build_input(
+/// Whether some PU of `soc` has no job in flight.
+pub fn any_free<T>(soc: &SocConfig, running: &[InFlight<T>]) -> bool {
+    (0..soc.pus.len()).any(|i| running.iter().all(|r| r.pu_idx != i))
+}
+
+/// The policy's decision snapshot at cycle `now`: every PU's slot, the
+/// queued jobs with their per-PU standalone estimates, and the residents.
+pub fn build_input<'j, T>(
     probe: &mut SimProbe,
     soc: &SocConfig,
     now: f64,
-    queue: &[Job],
-    running: &[Running],
+    queue: impl IntoIterator<Item = &'j Job>,
+    running: &[InFlight<T>],
 ) -> DecisionInput {
     let slots: Vec<PuSlot> = soc
         .pus
@@ -202,30 +256,17 @@ fn build_input(
         .enumerate()
         .map(|(pu_idx, pu)| {
             let resident = running.iter().find(|r| r.pu_idx == pu_idx);
-            let est_free_in = resident.map_or(0.0, |r| {
-                let kernel = r.kernel(soc);
-                let (rate, _) = probe.standalone(pu_idx, kernel);
-                let mut left = r.remaining_lines / rate.max(MIN_RATE);
-                for ph in &r.job.phases[r.phase + 1..] {
-                    let k = ph
-                        .kernel_for(pu.kind)
-                        .expect("placement was validated against eligibility");
-                    let (rate, _) = probe.standalone(pu_idx, k);
-                    left += ph.work_lines / rate.max(MIN_RATE);
-                }
-                left
-            });
             PuSlot {
                 pu_idx,
                 kind: pu.kind,
                 name: pu.name.clone(),
                 free: resident.is_none(),
-                est_free_in,
+                est_free_in: resident.map_or(0.0, |r| r.drain_cycles(probe, soc)),
             }
         })
         .collect();
     let queue: Vec<PendingJob> = queue
-        .iter()
+        .into_iter()
         .map(|job| {
             let options: Vec<PlacementOption> = soc
                 .pus
@@ -291,11 +332,58 @@ fn build_input(
     }
 }
 
+/// Runs the current placement from `*now` to its next event. Measures the
+/// co-run rates of `running`, steps `*now` to the first phase boundary or
+/// completion, or to `until` when that comes first and lies ahead, and
+/// moves jobs past phase boundaries. Returns the finished jobs, removed
+/// from `running`, in placement order.
+///
+/// `running` must not be empty.
+pub fn advance<T>(
+    probe: &mut SimProbe,
+    soc: &SocConfig,
+    running: &mut Vec<InFlight<T>>,
+    now: &mut f64,
+    until: f64,
+) -> Vec<InFlight<T>> {
+    let placements: Vec<(usize, KernelDesc)> = running
+        .iter()
+        .map(|r| (r.pu_idx, r.kernel(soc).clone()))
+        .collect();
+    let rates = probe.corun_rates(&placements);
+    let rate_of = |pu_idx: usize| rates.get(&pu_idx).copied().unwrap_or(0.0).max(MIN_RATE);
+    let mut dt = f64::INFINITY;
+    for r in running.iter() {
+        dt = dt.min(r.remaining_lines / rate_of(r.pu_idx));
+    }
+    let ahead = until - *now;
+    if ahead > 0.0 {
+        dt = dt.min(ahead);
+    }
+    *now += dt;
+    let mut finished = Vec::new();
+    let mut idx = 0;
+    while idx < running.len() {
+        let r = &mut running[idx];
+        r.remaining_lines -= rate_of(r.pu_idx) * dt;
+        if r.remaining_lines > WORK_EPSILON {
+            idx += 1;
+        } else if r.phase + 1 < r.job.phases.len() {
+            r.phase += 1;
+            r.remaining_lines = r.job.phases[r.phase].work_lines;
+            idx += 1;
+        } else {
+            finished.push(running.remove(idx));
+        }
+    }
+    finished
+}
+
 /// Replays `jobs` on `soc` under `policy` and reports the schedule.
 ///
 /// The engine guarantees progress: when a policy declines to place anything
-/// while the whole machine is idle, the longest-waiting job is placed on
-/// its fastest standalone PU (recorded with policy `"forced"`).
+/// while the whole machine is idle, [`DecisionInput::fallback`] is placed
+/// instead (recorded with policy `"forced"`).
 ///
 /// # Errors
 ///
@@ -336,7 +424,7 @@ pub fn run_schedule(
     let mut arrivals: Vec<Job> = jobs.to_vec();
     arrivals.sort_by_key(|j| (j.arrival, j.id));
     let mut queue: Vec<Job> = Vec::new();
-    let mut running: Vec<Running> = Vec::new();
+    let mut running: Vec<InFlight<Placed>> = Vec::new();
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut decisions: Vec<DecisionRecord> = Vec::new();
     let mut now = 0.0_f64;
@@ -354,31 +442,30 @@ pub fn run_schedule(
         while arrivals.first().is_some_and(|j| (j.arrival as f64) <= now) {
             queue.push(arrivals.remove(0));
         }
-        // Let the policy place onto free PUs.
-        let any_free = soc
-            .pus
-            .iter()
-            .enumerate()
-            .any(|(i, _)| running.iter().all(|r| r.pu_idx != i));
-        if !queue.is_empty() && any_free {
+        // Let the policy place onto free PUs. Progress guarantee: when its
+        // picks leave the machine idle, the fallback pick runs instead.
+        if !queue.is_empty() && any_free(soc, &running) {
             let input = build_input(&mut probe, soc, now, &queue, &running);
-            let assignments = policy.decide(&input, &mut probe);
-            let mut placed_any = false;
-            for a in assignments {
+            let fallback = input.fallback().map(|a| (a, true));
+            let decided = policy.decide(&input, &mut probe);
+            for (a, forced) in decided.into_iter().map(|a| (a, false)).chain(fallback) {
+                if forced && !running.is_empty() {
+                    break;
+                }
                 let Some(pos) = queue.iter().position(|j| j.id == a.job_id) else {
                     continue; // unknown job; ignore
                 };
-                let pu_free = running.iter().all(|r| r.pu_idx != a.pu_idx);
                 let valid = a.pu_idx < soc.pus.len()
-                    && pu_free
+                    && running.iter().all(|r| r.pu_idx != a.pu_idx)
                     && queue[pos].runs_on(soc.pus[a.pu_idx].kind);
                 if !valid {
                     continue; // policies may only place eligible jobs on free PUs
                 }
+                let placed_by = if forced { "forced" } else { policy.name() };
                 let job = queue.remove(pos);
                 decisions.push(DecisionRecord {
                     at_cycle: now,
-                    policy: policy.name().to_owned(),
+                    policy: placed_by.to_owned(),
                     job: job.name.clone(),
                     job_id: job.id,
                     pu: soc.pus[a.pu_idx].name.clone(),
@@ -388,68 +475,14 @@ pub fn run_schedule(
                 });
                 let first_kernel = job.phases[0]
                     .kernel_for(soc.pus[a.pu_idx].kind)
-                    .expect("eligibility validated above")
-                    .clone();
-                let (_, demand) = probe.standalone(a.pu_idx, &first_kernel);
-                let region = policy.region_label(a.pu_idx, demand).to_owned();
-                let remaining_lines = job.phases[0].work_lines;
-                running.push(Running {
-                    job,
-                    pu_idx: a.pu_idx,
-                    phase: 0,
-                    remaining_lines,
-                    start: now,
+                    .expect("eligibility validated above");
+                let (_, demand) = probe.standalone(a.pu_idx, first_kernel);
+                let tag = Placed {
                     predicted_cost: a.predicted_cost,
-                    placed_by: policy.name().to_owned(),
-                    region,
-                });
-                placed_any = true;
-            }
-            // Progress guarantee: an idle machine with waiting work must
-            // run something.
-            if running.is_empty() && !placed_any && !queue.is_empty() {
-                let input = build_input(&mut probe, soc, now, &queue, &running);
-                let qi = input.service_order()[0];
-                let job_id = input.queue[qi].job_id;
-                let opt = input.queue[qi]
-                    .options
-                    .iter()
-                    .min_by(|a, b| a.standalone_cycles.total_cmp(&b.standalone_cycles))
-                    .expect("eligibility was validated up front");
-                let pu_idx = opt.pu_idx;
-                let cost = opt.standalone_cycles;
-                let pos = queue
-                    .iter()
-                    .position(|j| j.id == job_id)
-                    .expect("job is queued");
-                let job = queue.remove(pos);
-                decisions.push(DecisionRecord {
-                    at_cycle: now,
-                    policy: "forced".to_owned(),
-                    job: job.name.clone(),
-                    job_id: job.id,
-                    pu: soc.pus[pu_idx].name.clone(),
-                    pu_idx,
-                    predicted_cost: cost,
-                    queue_depth: queue.len(),
-                });
-                let first_kernel = job.phases[0]
-                    .kernel_for(soc.pus[pu_idx].kind)
-                    .expect("eligibility validated above")
-                    .clone();
-                let (_, demand) = probe.standalone(pu_idx, &first_kernel);
-                let region = policy.region_label(pu_idx, demand).to_owned();
-                let remaining_lines = job.phases[0].work_lines;
-                running.push(Running {
-                    job,
-                    pu_idx,
-                    phase: 0,
-                    remaining_lines,
-                    start: now,
-                    predicted_cost: cost,
-                    placed_by: "forced".to_owned(),
-                    region,
-                });
+                    placed_by,
+                    region: policy.region_label(a.pu_idx, demand),
+                };
+                running.push(InFlight::new(job, a.pu_idx, now, tag));
             }
         }
         if running.is_empty() {
@@ -460,56 +493,19 @@ pub fn run_schedule(
             }
             continue;
         }
-        // Measure the sustained rates of the current placement.
-        let placements: Vec<(usize, KernelDesc)> = running
-            .iter()
-            .map(|r| (r.pu_idx, r.kernel(soc).clone()))
-            .collect();
-        let rates = probe.corun_rates(&placements);
         // Advance to the next event: a phase/job completion or an arrival.
-        let mut dt = f64::INFINITY;
-        for r in &running {
-            let rate = rates.get(&r.pu_idx).copied().unwrap_or(0.0).max(MIN_RATE);
-            dt = dt.min(r.remaining_lines / rate);
-        }
-        if let Some(next) = arrivals.first() {
-            let until = next.arrival as f64 - now;
-            if until > 0.0 {
-                dt = dt.min(until);
-            }
-        }
-        now += dt;
-        let mut idx = 0;
-        while idx < running.len() {
-            let rate = rates
-                .get(&running[idx].pu_idx)
-                .copied()
-                .unwrap_or(0.0)
-                .max(MIN_RATE);
-            running[idx].remaining_lines -= rate * dt;
-            if running[idx].remaining_lines > WORK_EPSILON {
-                idx += 1;
-                continue;
-            }
-            // Phase boundary or completion.
-            let r = &mut running[idx];
-            if r.phase + 1 < r.job.phases.len() {
-                r.phase += 1;
-                r.remaining_lines = r.job.phases[r.phase].work_lines;
-                idx += 1;
-                continue;
-            }
-            let r = running.remove(idx);
+        let until = arrivals.first().map_or(f64::INFINITY, |j| j.arrival as f64);
+        for r in advance(&mut probe, soc, &mut running, &mut now, until) {
             let standalone = standalone_cycles(&mut probe, soc, &r.job, r.pu_idx);
             let residence = (now - r.start).max(1.0);
             if audit::is_enabled() {
                 audit::record(
-                    AuditRecord::new("sched", "cycles", r.predicted_cost, residence)
+                    AuditRecord::new("sched", "cycles", r.tag.predicted_cost, residence)
                         .with_soc(&soc.slug())
                         .with_pu(&soc.pus[r.pu_idx].name)
                         .with_workload(&r.job.name)
-                        .with_region(&r.region)
-                        .with_policy(&r.placed_by),
+                        .with_region(r.tag.region)
+                        .with_policy(r.tag.placed_by),
                 );
             }
             outcomes.push(JobOutcome {
@@ -663,6 +659,43 @@ mod tests {
             if rec.policy == "pccs" {
                 assert_ne!(rec.region, "-", "model-guided policy attributes a region");
             }
+        }
+    }
+
+    /// A policy that never places anything.
+    struct Declines;
+
+    impl Policy for Declines {
+        fn name(&self) -> &'static str {
+            "declines"
+        }
+
+        fn decide(&mut self, _: &DecisionInput, _: &mut dyn Probe) -> Vec<crate::Assignment> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn an_idle_machine_forces_the_fastest_standalone_option() {
+        let soc = SocConfig::xavier();
+        let jobs = vec![
+            small_job(0, 0, 0.5, 3_000.0),
+            small_job(1, 0, 4.0, 2_000.0),
+            small_job(2, 40_000, 1.0, 2_500.0),
+        ];
+        let cfg = SchedConfig::quick();
+        let r = run_schedule(&soc, "unit", &jobs, &mut Declines, &cfg).unwrap();
+        assert_eq!(r.jobs.len(), jobs.len(), "every job completes");
+        assert_eq!(r.decisions.len(), jobs.len());
+        let mut probe = SimProbe::new(&soc, cfg.probe.clone());
+        for d in &r.decisions {
+            assert_eq!(d.policy, "forced");
+            let job = jobs.iter().find(|j| j.id == d.job_id).unwrap();
+            let (best_pu, best) = (0..soc.pus.len())
+                .map(|pu| (pu, standalone_cycles(&mut probe, &soc, job, pu)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .unwrap();
+            assert_eq!((d.pu_idx, d.predicted_cost), (best_pu, best), "{d:?}");
         }
     }
 

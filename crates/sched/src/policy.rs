@@ -171,6 +171,22 @@ impl DecisionInput {
         });
         order
     }
+
+    /// The pick an idle machine falls back on when a policy places nothing:
+    /// the first job in service order on its fastest standalone PU, costed
+    /// at that standalone time. `None` when the queue is empty.
+    pub fn fallback(&self) -> Option<Assignment> {
+        let job = &self.queue[*self.service_order().first()?];
+        let option = job
+            .options
+            .iter()
+            .min_by(|a, b| a.standalone_cycles.total_cmp(&b.standalone_cycles))?;
+        Some(Assignment {
+            job_id: job.job_id,
+            pu_idx: option.pu_idx,
+            predicted_cost: option.standalone_cycles,
+        })
+    }
 }
 
 /// A placement decision: run `job_id` on `pu_idx` now.

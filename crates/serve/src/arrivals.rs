@@ -78,7 +78,9 @@ impl ArrivalProcess {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::BadConfig`] for non-positive rates and
+    /// Returns [`ServeError::BadConfig`] for a rate, burst factor or
+    /// sojourn that is not finite and positive (or a burst factor not above
+    /// 1), and
     /// [`ServeError::UnknownTraceClass`] when a trace event names a class
     /// not in `classes`.
     pub fn generate(
@@ -109,16 +111,15 @@ impl ArrivalProcess {
                 burst_cycles,
             } => {
                 let base = per_cycle_rate(*rate_per_mcycle)?;
-                if *burst_factor <= 1.0 {
+                if !(burst_factor.is_finite() && *burst_factor > 1.0) {
                     return Err(ServeError::BadConfig {
-                        detail: format!("burst factor must exceed 1 (got {burst_factor})"),
+                        detail: format!(
+                            "burst factor must be finite and exceed 1 (got {burst_factor})"
+                        ),
                     });
                 }
-                if *calm_cycles <= 0.0 || *burst_cycles <= 0.0 {
-                    return Err(ServeError::BadConfig {
-                        detail: "burst/calm sojourns must be positive".into(),
-                    });
-                }
+                finite_positive("calm sojourn", *calm_cycles)?;
+                finite_positive("burst sojourn", *burst_cycles)?;
                 let mut events = Vec::new();
                 let mut t = 0.0_f64;
                 let mut bursting = false;
@@ -202,14 +203,23 @@ pub fn parse_trace(text: &str) -> Result<ArrivalProcess, ServeError> {
     Ok(ArrivalProcess::Trace { events })
 }
 
-/// Converts a per-Mcycle rate to a per-cycle rate, validating positivity.
+/// Converts a per-Mcycle rate to a per-cycle rate, validating it. A NaN
+/// or infinite rate would make every inter-arrival sample 0 or NaN and
+/// the generator loop forever.
 fn per_cycle_rate(rate_per_mcycle: f64) -> Result<f64, ServeError> {
-    if rate_per_mcycle <= 0.0 {
-        return Err(ServeError::BadConfig {
-            detail: format!("arrival rate must be positive (got {rate_per_mcycle})"),
-        });
-    }
+    finite_positive("arrival rate", rate_per_mcycle)?;
     Ok(rate_per_mcycle / 1.0e6)
+}
+
+/// Checks that the parameter `what` is finite and positive.
+fn finite_positive(what: &str, value: f64) -> Result<(), ServeError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(ServeError::BadConfig {
+            detail: format!("{what} must be finite and positive (got {value})"),
+        })
+    }
 }
 
 /// An exponential inter-arrival sample with rate `lambda` per cycle.
@@ -295,6 +305,53 @@ mod tests {
         assert!(matches!(err, ServeError::BadTrace { line: 2, .. }));
         let err = parse_trace("x mnist").unwrap_err();
         assert!(matches!(err, ServeError::BadTrace { line: 1, .. }));
+    }
+
+    #[test]
+    fn non_finite_rates_are_typed_errors() {
+        let classes = contended_classes();
+        for rate in [f64::NAN, f64::INFINITY, -1.0] {
+            let p = ArrivalProcess::Poisson {
+                rate_per_mcycle: rate,
+            };
+            assert!(
+                matches!(
+                    p.generate(&classes, 1_000, 0),
+                    Err(ServeError::BadConfig { .. })
+                ),
+                "poisson rate {rate}"
+            );
+            assert!(
+                matches!(
+                    ArrivalProcess::bursty(rate).generate(&classes, 1_000, 0),
+                    Err(ServeError::BadConfig { .. })
+                ),
+                "bursty rate {rate}"
+            );
+        }
+    }
+
+    #[test]
+    fn bad_burst_parameters_are_typed_errors() {
+        let classes = contended_classes();
+        let bursty = |burst_factor, calm_cycles, burst_cycles| ArrivalProcess::Bursty {
+            rate_per_mcycle: 10.0,
+            burst_factor,
+            calm_cycles,
+            burst_cycles,
+        };
+        for p in [
+            bursty(f64::NAN, 1e5, 1e4),
+            bursty(f64::INFINITY, 1e5, 1e4),
+            bursty(1.0, 1e5, 1e4),
+            bursty(4.0, f64::NAN, 1e4),
+            bursty(4.0, 1e5, f64::INFINITY),
+            bursty(4.0, 0.0, 1e4),
+        ] {
+            let err = p.generate(&classes, 1_000, 0).unwrap_err();
+            assert!(matches!(err, ServeError::BadConfig { .. }), "{p:?}");
+        }
+        assert!(bursty(4.0, 1e5, 1e4).generate(&classes, 1_000, 0).is_ok());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! streams.
 //!
 //! Each run is a pipeline of arrivals → admission → batching → placement →
-//! SLO accounting, replayed against the `pccs-soc` co-run simulator the
-//! same way the offline `pccs-sched` engine replays a job list:
+//! SLO accounting, replayed against the `pccs-soc` co-run simulator on
+//! the offline `pccs-sched` engine's replay core (its in-flight jobs,
+//! decision snapshots and rate-measured advance):
 //!
 //! 1. the arrival process is expanded up front from its seed;
 //! 2. at every arrival, admission control predicts the request's finish
@@ -28,22 +29,13 @@ use crate::report::{RequestOutcome, ServeReport};
 use crate::request::RequestClass;
 use crate::slo::{miss_rate_pct, SloAccountant};
 use pccs_core::{PccsModel, SlowdownModel};
-use pccs_sched::engine::SimProbe;
-use pccs_sched::policy::{
-    DecisionInput, PendingJob, PhaseEstimate, PlacementOption, Policy, Probe, PuSlot, Resident,
-};
+use pccs_sched::engine::{advance, any_free, build_input, InFlight, SimProbe, MIN_RATE};
+use pccs_sched::policy::Policy;
 use pccs_soc::corun::CoRunConfig;
-use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::AuditRecord;
 use pccs_telemetry::Profiler;
 use pccs_workloads::calibrate::{build_model, CalibrationConfig};
-
-/// Floor for measured rates, lines per cycle.
-const MIN_RATE: f64 = 1e-9;
-
-/// Work below this many lines counts as finished.
-const WORK_EPSILON: f64 = 1e-6;
 
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
@@ -176,24 +168,16 @@ impl ClassProfile {
     }
 }
 
-/// A bundle in flight.
-struct RunningBundle {
-    bundle: Bundle,
-    pu_idx: usize,
-    phase: usize,
-    remaining_lines: f64,
-    start: f64,
+/// What a bundle in flight carries to completion.
+#[derive(Debug)]
+struct BundleTag {
+    /// Member request ids, in arrival order.
+    members: Vec<usize>,
+    /// Index into the run's class list.
+    class_idx: usize,
     /// Admission-model predicted contended service time at placement,
     /// compared with observed residence by the drift monitor.
     predicted_service: f64,
-}
-
-impl RunningBundle {
-    fn kernel<'k>(&'k self, soc: &SocConfig) -> &'k KernelDesc {
-        self.bundle.job.phases[self.phase]
-            .kernel_for(soc.pus[self.pu_idx].kind)
-            .expect("placement was validated against eligibility")
-    }
 }
 
 /// One slowdown model per PU, calibrated against the co-run simulator
@@ -256,116 +240,11 @@ pub fn boxed_models(models: &[PccsModel]) -> Vec<Box<dyn SlowdownModel>> {
         .collect()
 }
 
-/// Builds the policy's decision input from the current bundles and
-/// residents (mirrors the offline engine's input construction).
-fn build_input(
-    probe: &mut SimProbe,
-    soc: &SocConfig,
-    now: f64,
-    bundles: &[Bundle],
-    running: &[RunningBundle],
-) -> DecisionInput {
-    let slots: Vec<PuSlot> = soc
-        .pus
-        .iter()
-        .enumerate()
-        .map(|(pu_idx, pu)| {
-            let resident = running.iter().find(|r| r.pu_idx == pu_idx);
-            let est_free_in = resident.map_or(0.0, |r| {
-                let kernel = r.kernel(soc);
-                let (rate, _) = probe.standalone(pu_idx, kernel);
-                let mut left = r.remaining_lines / rate.max(MIN_RATE);
-                for ph in &r.bundle.job.phases[r.phase + 1..] {
-                    let k = ph
-                        .kernel_for(pu.kind)
-                        .expect("placement was validated against eligibility");
-                    let (rate, _) = probe.standalone(pu_idx, k);
-                    left += ph.work_lines / rate.max(MIN_RATE);
-                }
-                left
-            });
-            PuSlot {
-                pu_idx,
-                kind: pu.kind,
-                name: pu.name.clone(),
-                free: resident.is_none(),
-                est_free_in,
-            }
-        })
-        .collect();
-    let queue: Vec<PendingJob> = bundles
-        .iter()
-        .map(|bundle| {
-            let job = &bundle.job;
-            let options: Vec<PlacementOption> = soc
-                .pus
-                .iter()
-                .enumerate()
-                .filter(|(_, pu)| job.runs_on(pu.kind))
-                .map(|(pu_idx, pu)| {
-                    let phases: Vec<PhaseEstimate> = job
-                        .phases
-                        .iter()
-                        .map(|ph| {
-                            let kernel = ph.kernel_for(pu.kind).expect("runs_on checked").clone();
-                            let (rate, bw) = probe.standalone(pu_idx, &kernel);
-                            PhaseEstimate {
-                                kernel,
-                                work_lines: ph.work_lines,
-                                standalone_rate: rate,
-                                demand_gbps: bw,
-                            }
-                        })
-                        .collect();
-                    let standalone_cycles = phases
-                        .iter()
-                        .map(|p| p.work_lines / p.standalone_rate.max(MIN_RATE))
-                        .sum();
-                    PlacementOption {
-                        pu_idx,
-                        standalone_cycles,
-                        phases,
-                    }
-                })
-                .collect();
-            PendingJob {
-                job_id: job.id,
-                name: job.name.clone(),
-                arrival: job.arrival,
-                deadline: job.deadline,
-                priority: job.priority,
-                options,
-            }
-        })
-        .collect();
-    let residents: Vec<Resident> = running
-        .iter()
-        .map(|r| {
-            let kernel = r.kernel(soc).clone();
-            let (rate, bw) = probe.standalone(r.pu_idx, &kernel);
-            Resident {
-                pu_idx: r.pu_idx,
-                job_id: r.bundle.job.id,
-                kernel,
-                demand_gbps: bw,
-                standalone_rate: rate,
-                remaining_lines: r.remaining_lines,
-            }
-        })
-        .collect();
-    DecisionInput {
-        now,
-        slots,
-        queue,
-        residents,
-    }
-}
-
 /// The bandwidth pressure residents on *other* PUs put on `pu_idx`.
 fn external_pressure(
     probe: &mut SimProbe,
     soc: &SocConfig,
-    running: &[RunningBundle],
+    running: &[InFlight<BundleTag>],
     pu_idx: usize,
 ) -> f64 {
     running
@@ -373,28 +252,6 @@ fn external_pressure(
         .filter(|r| r.pu_idx != pu_idx)
         .map(|r| probe.standalone(r.pu_idx, r.kernel(soc)).1)
         .sum()
-}
-
-/// Moves a bundle from pending to running on `pu_idx`, recording the
-/// admission model's service prediction for the drift monitor.
-fn place_bundle(
-    bundle: Bundle,
-    pu_idx: usize,
-    now: f64,
-    predicted_service: f64,
-    pending: &mut Vec<PendingRequest>,
-    running: &mut Vec<RunningBundle>,
-) {
-    pending.retain(|p| !bundle.members.contains(&p.id));
-    let remaining_lines = bundle.job.phases[0].work_lines;
-    running.push(RunningBundle {
-        bundle,
-        pu_idx,
-        phase: 0,
-        remaining_lines,
-        start: now,
-        predicted_service,
-    });
 }
 
 /// Serves the request classes on `soc` under `policy`, with admission
@@ -443,7 +300,7 @@ pub fn run_serve(
     let mut slo = SloAccountant::new();
     let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(arrivals.len());
     let mut pending: Vec<PendingRequest> = Vec::new();
-    let mut running: Vec<RunningBundle> = Vec::new();
+    let mut running: Vec<InFlight<BundleTag>> = Vec::new();
     let mut arrival_cursor = 0usize;
     let mut decisions = 0usize;
     let mut now = 0.0_f64;
@@ -478,18 +335,7 @@ pub fn run_serve(
                     let busy_until = running
                         .iter()
                         .find(|r| r.pu_idx == pu_idx)
-                        .map_or(now, |r| {
-                            let (rate, _) = probe.standalone(pu_idx, r.kernel(soc));
-                            let mut left = r.remaining_lines / rate.max(MIN_RATE);
-                            for ph in &r.bundle.job.phases[r.phase + 1..] {
-                                let k = ph
-                                    .kernel_for(soc.pus[pu_idx].kind)
-                                    .expect("placement was validated");
-                                let (rate, _) = probe.standalone(pu_idx, k);
-                                left += ph.work_lines / rate.max(MIN_RATE);
-                            }
-                            now + left
-                        });
+                        .map_or(now, |r| now + r.drain_cycles(&mut probe, soc));
                     let external_gbps = external_pressure(&mut probe, soc, &running, pu_idx);
                     PuLoad {
                         busy_until,
@@ -528,21 +374,26 @@ pub fn run_serve(
             }
         }
         // Batch pending requests and let the policy place bundles.
-        let any_free = soc
-            .pus
-            .iter()
-            .enumerate()
-            .any(|(i, _)| running.iter().all(|r| r.pu_idx != i));
-        if !pending.is_empty() && any_free {
+        // Progress guarantee: when its picks leave the machine idle, the
+        // fallback pick runs instead.
+        if !pending.is_empty() && any_free(soc, &running) {
             let bundles = form_bundles(&pending, classes, &cfg.batch);
-            let input = build_input(&mut probe, soc, now, &bundles, &running);
-            let assignments = policy.decide(&input, &mut probe);
-            let mut placed_any = false;
-            for a in assignments {
-                let Some(pos) = bundles.iter().position(|b| b.job.id == a.job_id) else {
+            let input = build_input(
+                &mut probe,
+                soc,
+                now,
+                bundles.iter().map(|b| &b.job),
+                &running,
+            );
+            let fallback = input.fallback().map(|a| (a, true));
+            let decided = policy.decide(&input, &mut probe);
+            for (a, forced) in decided.into_iter().map(|a| (a, false)).chain(fallback) {
+                if forced && !running.is_empty() {
+                    break;
+                }
+                let Some(bundle) = bundles.iter().find(|b| b.job.id == a.job_id) else {
                     continue; // unknown bundle; ignore
                 };
-                let bundle = &bundles[pos];
                 let valid = a.pu_idx < soc.pus.len()
                     && running.iter().all(|r| r.pu_idx != a.pu_idx)
                     && bundle.job.runs_on(soc.pus[a.pu_idx].kind)
@@ -551,47 +402,16 @@ pub fn run_serve(
                 if !valid {
                     continue;
                 }
-                let predicted = bundle_service_prediction(
+                let predicted_service = bundle_service_prediction(
                     &admission, &profile, &mut probe, soc, &running, bundle, a.pu_idx,
                 );
-                place_bundle(
-                    bundle.clone(),
-                    a.pu_idx,
-                    now,
-                    predicted,
-                    &mut pending,
-                    &mut running,
-                );
-                decisions += 1;
-                placed_any = true;
-            }
-            // Progress guarantee: an idle machine with pending work must
-            // run something.
-            if running.is_empty() && !placed_any && !pending.is_empty() {
-                let qi = input.service_order()[0];
-                let job_id = input.queue[qi].job_id;
-                let pos = bundles
-                    .iter()
-                    .position(|b| b.job.id == job_id)
-                    .expect("input queue mirrors bundles");
-                let pu_idx = input.queue[qi]
-                    .options
-                    .iter()
-                    .min_by(|a, b| a.standalone_cycles.total_cmp(&b.standalone_cycles))
-                    .expect("eligibility was validated up front")
-                    .pu_idx;
-                let bundle = &bundles[pos];
-                let predicted = bundle_service_prediction(
-                    &admission, &profile, &mut probe, soc, &running, bundle, pu_idx,
-                );
-                place_bundle(
-                    bundle.clone(),
-                    pu_idx,
-                    now,
-                    predicted,
-                    &mut pending,
-                    &mut running,
-                );
+                pending.retain(|p| !bundle.members.contains(&p.id));
+                let tag = BundleTag {
+                    members: bundle.members.clone(),
+                    class_idx: bundle.class_idx,
+                    predicted_service,
+                };
+                running.push(InFlight::new(bundle.job.clone(), a.pu_idx, now, tag));
                 decisions += 1;
             }
         }
@@ -607,62 +427,25 @@ pub fn run_serve(
             }
             continue;
         }
-        // Measure the sustained rates of the current placement.
-        let placements: Vec<(usize, KernelDesc)> = running
-            .iter()
-            .map(|r| (r.pu_idx, r.kernel(soc).clone()))
-            .collect();
-        let rates = probe.corun_rates(&placements);
         // Advance to the next event: completion, arrival, or epoch.
-        let mut dt = f64::INFINITY;
-        for r in &running {
-            let rate = rates.get(&r.pu_idx).copied().unwrap_or(0.0).max(MIN_RATE);
-            dt = dt.min(r.remaining_lines / rate);
-        }
-        if let Some(next) = arrivals.get(arrival_cursor) {
-            let until = next.at as f64 - now;
-            if until > 0.0 {
-                dt = dt.min(until);
-            }
-        }
-        let until_epoch = next_epoch - now;
-        if until_epoch > 0.0 {
-            dt = dt.min(until_epoch);
-        }
-        now += dt;
+        let ahead = |t: f64| if t - now > 0.0 { t } else { f64::INFINITY };
+        let next_arrival = arrivals
+            .get(arrival_cursor)
+            .map_or(f64::INFINITY, |a| a.at as f64);
+        let until = ahead(next_arrival).min(ahead(next_epoch));
+        let finished = advance(&mut probe, soc, &mut running, &mut now, until);
         while now >= next_epoch {
             slo.publish_epoch();
             next_epoch += epoch;
         }
-        let mut idx = 0;
-        while idx < running.len() {
-            let rate = rates
-                .get(&running[idx].pu_idx)
-                .copied()
-                .unwrap_or(0.0)
-                .max(MIN_RATE);
-            running[idx].remaining_lines -= rate * dt;
-            if running[idx].remaining_lines > WORK_EPSILON {
-                idx += 1;
-                continue;
-            }
-            // Phase boundary or completion.
-            let r = &mut running[idx];
-            if r.phase + 1 < r.bundle.job.phases.len() {
-                r.phase += 1;
-                r.remaining_lines = r.bundle.job.phases[r.phase].work_lines;
-                idx += 1;
-                continue;
-            }
-            let done = running.remove(idx);
+        for done in finished {
             let observed = (now - done.start).max(1.0);
             let pu_name = soc.pus[done.pu_idx].name.clone();
-            let class_name = classes[done.bundle.class_idx].name.clone();
+            let class_name = classes[done.tag.class_idx].name.clone();
             // Resolve the admission prediction into an audit pair; the
             // drift monitor is the windowed view over the same stream.
-            let demand =
-                profile.table[done.bundle.class_idx][done.pu_idx].map_or(0.0, |(_, bw)| bw);
-            let rec = AuditRecord::new("serve", "cycles", done.predicted_service, observed)
+            let demand = profile.table[done.tag.class_idx][done.pu_idx].map_or(0.0, |(_, bw)| bw);
+            let rec = AuditRecord::new("serve", "cycles", done.tag.predicted_service, observed)
                 .with_soc(&soc.slug())
                 .with_pu(&pu_name)
                 .with_workload(&class_name)
@@ -671,8 +454,8 @@ pub fn run_serve(
             if let Some(factor) = drift.observe_audited(done.pu_idx, rec) {
                 admission.set_correction(done.pu_idx, factor);
             }
-            let batch_size = done.bundle.members.len();
-            for &member in &done.bundle.members {
+            let batch_size = done.tag.members.len();
+            for &member in &done.tag.members {
                 let o = &mut outcomes[member];
                 o.finish = now;
                 o.latency = now - o.arrival as f64;
@@ -730,7 +513,7 @@ fn bundle_service_prediction(
     profile: &ClassProfile,
     probe: &mut SimProbe,
     soc: &SocConfig,
-    running: &[RunningBundle],
+    running: &[InFlight<BundleTag>],
     bundle: &Bundle,
     pu_idx: usize,
 ) -> f64 {
@@ -795,6 +578,33 @@ mod tests {
         }
         assert!(report.makespan > 0.0);
         assert!(report.p99_latency >= report.p50_latency);
+    }
+
+    #[test]
+    fn an_idle_machine_forces_progress_when_the_policy_declines() {
+        use pccs_sched::policy::{Assignment, DecisionInput, Probe};
+        struct Declines;
+        impl Policy for Declines {
+            fn name(&self) -> &'static str {
+                "declines"
+            }
+            fn decide(&mut self, _: &DecisionInput, _: &mut dyn Probe) -> Vec<Assignment> {
+                Vec::new()
+            }
+        }
+        let soc = SocConfig::xavier();
+        let report = run_serve(
+            &soc,
+            &contended_classes(),
+            &mut Declines,
+            boxed_models(&paper_models(&soc)),
+            &quick_cfg(6.0, 300_000),
+        )
+        .unwrap();
+        assert!(report.offered > 0);
+        assert_eq!(report.admitted, report.offered); // open admission
+        assert_eq!(report.completed, report.admitted, "every request completes");
+        assert!(report.decisions > 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use pccs_dram::policy::PolicyKind;
 use pccs_dram::request::SourceId;
 use pccs_dram::sim::{DramSystem, SimOutcome};
 use pccs_telemetry::audit::{self, AuditRecord};
-use pccs_telemetry::{metrics, EpochRecorder, Profiler};
+use pccs_telemetry::{metrics, Profiler};
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -370,33 +370,6 @@ impl CoRunSim {
         self
     }
 
-    /// Overrides the memory-controller scheduling policy.
-    pub fn policy(&mut self, policy: PolicyKind) -> &mut Self {
-        self.config.policy = policy;
-        self
-    }
-
-    /// Sets the simulation horizon — [`CoRunConfig::horizon`] is the single
-    /// source of truth for how long [`CoRunSim::execute`] runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn horizon(&mut self, horizon: u64) -> &mut Self {
-        assert!(horizon > 0, "horizon must be positive");
-        self.config.horizon = horizon;
-        self
-    }
-
-    /// Number of differently seeded repetitions whose rates are averaged
-    /// (default 1). Averaging damps the address-phase sensitivity of short
-    /// simulations.
-    pub fn repeats(&mut self, repeats: u32) -> &mut Self {
-        assert!(repeats >= 1, "at least one repetition required");
-        self.config.repeats = repeats;
-        self
-    }
-
     /// Adds a placement.
     ///
     /// # Panics
@@ -426,7 +399,7 @@ impl CoRunSim {
     /// Runs the co-run at [`CoRunConfig::horizon`] — the single source of
     /// truth for run length. The first [`CoRunConfig::warmup_fraction`] of
     /// the horizon is excluded from the measured rates; when
-    /// [`CoRunSim::repeats`] is above one, rates are averaged over
+    /// [`CoRunConfig::repeats`] is above one, rates are averaged over
     /// differently seeded repetitions (the returned raw
     /// [`CoRunOutcome::memory`] is from the last repetition).
     pub fn execute(&self) -> CoRunOutcome {
@@ -502,7 +475,7 @@ impl CoRunSim {
         metrics::add("sim.runs", 1);
         let mut sys = DramSystem::new(self.soc.dram.clone(), self.config.policy);
         if let Some(epoch) = self.epoch {
-            sys.set_recorder(Box::new(EpochRecorder::new(epoch)));
+            sys.record_epochs(epoch);
         }
         if self.conformance {
             sys.enable_conformance();
@@ -607,8 +580,7 @@ mod tests {
         let kernel = KernelDesc::memory_streaming("stream", 0.5);
         let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 40_000);
 
-        let mut sim = CoRunSim::new(&soc);
-        sim.horizon(40_000);
+        let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(40_000));
         sim.place(Placement::kernel(gpu, kernel));
         sim.external_pressure(cpu, 80.0);
         let out = sim.execute();
@@ -625,8 +597,7 @@ mod tests {
         let kernel = KernelDesc::compute_bound("hot", 200.0);
         let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 40_000);
 
-        let mut sim = CoRunSim::new(&soc);
-        sim.horizon(40_000);
+        let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(40_000));
         sim.place(Placement::kernel(gpu, kernel));
         sim.external_pressure(cpu, 60.0);
         let out = sim.execute();
@@ -642,8 +613,7 @@ mod tests {
         let kernel = KernelDesc::memory_streaming("stream", 1.0);
         let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 30_000);
         let rs_at = |gbps: f64| {
-            let mut sim = CoRunSim::new(&soc);
-            sim.horizon(30_000);
+            let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(30_000));
             sim.place(Placement::kernel(gpu, kernel.clone()));
             sim.external_pressure(cpu, gbps);
             sim.execute().relative_speed(gpu, &standalone).unwrap()
@@ -661,14 +631,13 @@ mod tests {
         let soc = xavier();
         let gpu = soc.pu_index("GPU").unwrap();
         let cpu = soc.pu_index("CPU").unwrap();
-        let mut sim = CoRunSim::new(&soc);
+        let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(20_000));
         sim.place(Placement::kernel(
             gpu,
             KernelDesc::memory_streaming("stream", 0.5),
         ));
         sim.external_pressure(cpu, 40.0);
         sim.record_epochs(2_000);
-        sim.horizon(20_000);
         let out = sim.execute();
         let report = out.memory.telemetry.as_ref().expect("epochs recorded");
         assert_eq!(report.epoch_cycles, 2_000);
@@ -735,8 +704,7 @@ mod tests {
         let gpu = soc.pu_index("GPU").unwrap();
         let kernel = KernelDesc::memory_streaming("k", 1.0);
         let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 5_000);
-        let mut sim = CoRunSim::new(&soc);
-        sim.horizon(5_000);
+        let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(5_000));
         sim.external_pressure(0, 10.0);
         let out = sim.execute();
         assert_eq!(
@@ -766,8 +734,7 @@ mod tests {
         let cpu = soc.pu_index("CPU").unwrap();
         let kernel = KernelDesc::memory_streaming("stream", 0.5);
         let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 20_000);
-        let mut sim = CoRunSim::new(&soc);
-        sim.horizon(20_000);
+        let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(20_000));
         sim.place(Placement::kernel(gpu, kernel));
         sim.external_pressure(cpu, 60.0);
         sim.expect_rs("corun-test", "stream", "normal", standalone, 80.0);
@@ -800,14 +767,13 @@ mod tests {
         let soc = xavier();
         let gpu = soc.pu_index("GPU").unwrap();
         let cpu = soc.pu_index("CPU").unwrap();
-        let mut sim = CoRunSim::new(&soc);
+        let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(15_000));
         sim.place(Placement::kernel(
             gpu,
             KernelDesc::memory_streaming("stream", 0.5),
         ));
         sim.external_pressure(cpu, 40.0);
         sim.check_conformance();
-        sim.horizon(15_000);
         let out = sim.execute();
         let report = out.memory.conformance.as_ref().expect("sanitizer on");
         assert!(report.commands > 0);

@@ -26,7 +26,7 @@
 //! ```
 //! use pccs_soc::soc::SocConfig;
 //! use pccs_soc::kernel::KernelDesc;
-//! use pccs_soc::corun::{CoRunSim, Placement};
+//! use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 //!
 //! let soc = SocConfig::xavier();
 //! let kernel = KernelDesc::memory_streaming("stream", 0.25);
@@ -37,8 +37,7 @@
 //! assert!(profile.bw_gbps > 0.0);
 //!
 //! // Same kernel under 40 GB/s of external pressure from the CPU complex.
-//! let mut sim = CoRunSim::new(&soc);
-//! sim.horizon(60_000);
+//! let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(60_000));
 //! sim.place(Placement::kernel(gpu, kernel));
 //! sim.external_pressure(soc.pu_index("CPU").unwrap(), 40.0);
 //! let outcome = sim.execute();

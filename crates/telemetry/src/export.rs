@@ -297,17 +297,17 @@ pub fn render_summary(rows: &[SummaryRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EpochRecorder, Recorder, RowEvent, StallEvent};
+    use crate::{EpochRecorder, RowEvent, StallEvent};
 
     fn sample_report() -> TelemetryReport {
         let mut r = EpochRecorder::new(100);
-        r.on_serve(10, 0, 64, 12, RowEvent::Hit);
-        r.on_serve(20, 1, 64, 30, RowEvent::Miss);
+        r.on_serve(10, 0, 64, RowEvent::Hit);
+        r.on_serve(20, 1, 64, RowEvent::Miss);
         r.on_stall(20, StallEvent::Issued);
         r.on_tick(20, 3);
-        r.on_serve(150, 0, 64, 40, RowEvent::Conflict);
-        r.finish(200);
-        r.report().unwrap()
+        r.on_serve(150, 0, 64, RowEvent::Conflict);
+        r.finish();
+        r.report()
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Three pieces, all optional and allocation-free on the hot path when
 //! disabled:
 //!
-//! - [`Recorder`] — the hook trait the DRAM controller drives. The default
-//!   [`NoopRecorder`] compiles to nothing; [`EpochRecorder`] samples
+//! - [`EpochRecorder`] — the hooks the DRAM controller drives when epoch
+//!   telemetry is on (off, the controller holds no recorder at all):
 //!   per-source bandwidth, queue depth, row-buffer outcome mix, and the
-//!   scheduler stall breakdown every N cycles into a [`TelemetryReport`].
+//!   scheduler stall breakdown sampled every N cycles into a
+//!   [`TelemetryReport`].
 //! - [`LatencyHistogram`] — log-binned latency distribution with
 //!   p50/p95/p99/max, embedded in the DRAM per-source stats.
 //! - [`export`] — JSONL event stream (manifest, epoch and [`Profiler`]
@@ -50,6 +51,4 @@ pub mod perfetto;
 pub use histogram::LatencyHistogram;
 pub use manifest::RunManifest;
 pub use profiler::{summary as profiler_summary, PhaseStats, ProfScope, ProfSpan, Profiler};
-pub use recorder::{
-    EpochRecorder, EpochSample, NoopRecorder, Recorder, RowEvent, StallEvent, TelemetryReport,
-};
+pub use recorder::{EpochRecorder, EpochSample, RowEvent, StallEvent, TelemetryReport};

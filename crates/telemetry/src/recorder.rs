@@ -1,12 +1,12 @@
-//! The recorder hook trait and its two implementations.
+//! The epoch recorder the DRAM controller drives.
 //!
-//! The DRAM controller drives a `Recorder` through four hooks:
-//! [`Recorder::on_serve`] per completed request, [`Recorder::on_stall`]
-//! per channel scheduling decision, [`Recorder::on_tick`] once per cycle
-//! with the current queue depth, and [`Recorder::on_reset`] when stats
-//! are cleared at the end of a warmup window. Hooks take plain `usize`
-//! source ids and telemetry-local enums so this crate stays free of any
-//! dependency on the simulator crates.
+//! The controller calls three hooks: [`EpochRecorder::on_serve`] per
+//! completed request, [`EpochRecorder::on_stall`] per channel scheduling
+//! decision, and [`EpochRecorder::on_tick`] once per cycle with the
+//! current queue depth; [`EpochRecorder::on_reset`] clears the history at
+//! the end of a warmup window. Hooks take plain `usize` source ids and
+//! telemetry-local enums so this crate stays free of any dependency on the
+//! simulator crates.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -34,52 +34,6 @@ pub enum StallEvent {
     /// The queue was empty.
     Idle,
 }
-
-/// Receives simulator events. All hooks default to no-ops so partial
-/// recorders stay small. `Debug` is required so simulator structs holding
-/// a boxed recorder can keep deriving `Debug`; `Send` so those structs
-/// can cross threads.
-pub trait Recorder: std::fmt::Debug + Send {
-    /// A request from `source` completed, moving `bytes` after waiting
-    /// `latency` cycles, with row-buffer outcome `row`.
-    fn on_serve(&mut self, cycle: u64, source: usize, bytes: u64, latency: u64, row: RowEvent) {
-        let _ = (cycle, source, bytes, latency, row);
-    }
-
-    /// One channel-scheduler decision this cycle.
-    fn on_stall(&mut self, cycle: u64, kind: StallEvent) {
-        let _ = (cycle, kind);
-    }
-
-    /// Called once per controller tick with the total queued requests.
-    fn on_tick(&mut self, cycle: u64, queue_depth: usize) {
-        let _ = (cycle, queue_depth);
-    }
-
-    /// Aggregate stats were cleared (end of warmup); drop epoch history
-    /// so the report covers exactly the measured window.
-    fn on_reset(&mut self, cycle: u64) {
-        let _ = cycle;
-    }
-
-    /// Flush any partial epoch at end of run.
-    fn finish(&mut self, cycle: u64) {
-        let _ = cycle;
-    }
-
-    /// The accumulated report, if this recorder produces one.
-    fn report(&self) -> Option<TelemetryReport> {
-        None
-    }
-}
-
-/// Records nothing. The controller also accepts "no recorder at all"
-/// (an `Option` left `None`); this type exists for call sites that need
-/// a `Recorder` value unconditionally.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// One epoch's worth of aggregated samples.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -241,11 +195,10 @@ impl EpochRecorder {
         }
         self.epochs.push(std::mem::take(&mut self.current));
     }
-}
 
-impl Recorder for EpochRecorder {
-    fn on_serve(&mut self, cycle: u64, source: usize, bytes: u64, latency: u64, row: RowEvent) {
-        let _ = latency;
+    /// A request from `source` completed at `cycle`, moving `bytes`, with
+    /// row-buffer outcome `row`.
+    pub fn on_serve(&mut self, cycle: u64, source: usize, bytes: u64, row: RowEvent) {
         self.roll_to(cycle);
         *self.current.bytes_per_source.entry(source).or_insert(0) += bytes;
         self.current.served += 1;
@@ -256,7 +209,8 @@ impl Recorder for EpochRecorder {
         }
     }
 
-    fn on_stall(&mut self, cycle: u64, kind: StallEvent) {
+    /// One channel-scheduler decision at `cycle`.
+    pub fn on_stall(&mut self, cycle: u64, kind: StallEvent) {
         self.roll_to(cycle);
         match kind {
             StallEvent::Issued => self.current.issued += 1,
@@ -266,14 +220,17 @@ impl Recorder for EpochRecorder {
         }
     }
 
-    fn on_tick(&mut self, cycle: u64, queue_depth: usize) {
+    /// One controller tick at `cycle` with `queue_depth` requests queued.
+    pub fn on_tick(&mut self, cycle: u64, queue_depth: usize) {
         self.roll_to(cycle);
         self.ticks_in_epoch += 1;
         self.depth_sum += queue_depth as u64;
         self.current.queue_depth_max = self.current.queue_depth_max.max(queue_depth as u64);
     }
 
-    fn on_reset(&mut self, cycle: u64) {
+    /// Aggregate stats were cleared at `cycle` (end of warmup): drops the
+    /// epoch history so the report covers exactly the measured window.
+    pub fn on_reset(&mut self, cycle: u64) {
         self.base_cycle = cycle;
         self.epochs.clear();
         self.current = EpochSample::default();
@@ -282,20 +239,21 @@ impl Recorder for EpochRecorder {
         self.open = false;
     }
 
-    fn finish(&mut self, cycle: u64) {
-        let _ = cycle;
+    /// Flushes the partial epoch at the end of a run.
+    pub fn finish(&mut self) {
         if self.open {
             self.flush_current();
             self.open = false;
         }
     }
 
-    fn report(&self) -> Option<TelemetryReport> {
-        Some(TelemetryReport {
+    /// The accumulated epoch series.
+    pub fn report(&self) -> TelemetryReport {
+        TelemetryReport {
             epoch_cycles: self.epoch_cycles,
             base_cycle: self.base_cycle,
             epochs: self.epochs.clone(),
-        })
+        }
     }
 }
 
@@ -306,12 +264,12 @@ mod tests {
     #[test]
     fn epoch_boundaries_split_samples() {
         let mut r = EpochRecorder::new(100);
-        r.on_serve(10, 0, 64, 5, RowEvent::Hit);
-        r.on_serve(99, 1, 64, 5, RowEvent::Miss);
-        r.on_serve(100, 0, 64, 5, RowEvent::Conflict);
-        r.on_serve(250, 0, 64, 5, RowEvent::Hit);
-        r.finish(251);
-        let report = r.report().unwrap();
+        r.on_serve(10, 0, 64, RowEvent::Hit);
+        r.on_serve(99, 1, 64, RowEvent::Miss);
+        r.on_serve(100, 0, 64, RowEvent::Conflict);
+        r.on_serve(250, 0, 64, RowEvent::Hit);
+        r.finish();
+        let report = r.report();
         assert_eq!(report.epochs.len(), 3);
         assert_eq!(report.epochs[0].epoch, 0);
         assert_eq!(report.epochs[0].served, 2);
@@ -329,8 +287,8 @@ mod tests {
         for (cycle, depth) in [(0, 2), (1, 4), (2, 6), (3, 8), (4, 100)] {
             r.on_tick(cycle, depth);
         }
-        r.finish(5);
-        let report = r.report().unwrap();
+        r.finish();
+        let report = r.report();
         assert_eq!(report.epochs.len(), 2);
         assert_eq!(report.epochs[0].queue_depth_avg, 5.0);
         assert_eq!(report.epochs[0].queue_depth_max, 8);
@@ -340,11 +298,11 @@ mod tests {
     #[test]
     fn reset_drops_history_and_rebases() {
         let mut r = EpochRecorder::new(50);
-        r.on_serve(10, 0, 64, 1, RowEvent::Hit);
+        r.on_serve(10, 0, 64, RowEvent::Hit);
         r.on_reset(120);
-        r.on_serve(130, 0, 64, 1, RowEvent::Hit);
-        r.finish(200);
-        let report = r.report().unwrap();
+        r.on_serve(130, 0, 64, RowEvent::Hit);
+        r.finish();
+        let report = r.report();
         assert_eq!(report.base_cycle, 120);
         assert_eq!(report.epochs.len(), 1);
         assert_eq!(report.epochs[0].epoch, 0);
@@ -355,8 +313,8 @@ mod tests {
     #[test]
     fn zero_length_run_reports_empty() {
         let mut r = EpochRecorder::new(1000);
-        r.finish(0);
-        let report = r.report().unwrap();
+        r.finish();
+        let report = r.report();
         assert!(report.epochs.is_empty());
         assert_eq!(report.total_bytes(), 0);
         assert!(report.sources().is_empty());
@@ -365,27 +323,19 @@ mod tests {
     #[test]
     fn merge_combines_by_epoch_index() {
         let mut a = EpochRecorder::new(100);
-        a.on_serve(10, 0, 64, 1, RowEvent::Hit);
-        a.on_serve(110, 0, 64, 1, RowEvent::Hit);
-        a.finish(200);
+        a.on_serve(10, 0, 64, RowEvent::Hit);
+        a.on_serve(110, 0, 64, RowEvent::Hit);
+        a.finish();
         let mut b = EpochRecorder::new(100);
-        b.on_serve(20, 1, 32, 1, RowEvent::Miss);
-        b.finish(200);
-        let mut report = a.report().unwrap();
-        report.merge(&b.report().unwrap());
+        b.on_serve(20, 1, 32, RowEvent::Miss);
+        b.finish();
+        let mut report = a.report();
+        report.merge(&b.report());
         assert_eq!(report.epochs.len(), 2);
         assert_eq!(report.epochs[0].total_bytes(), 96);
         assert_eq!(report.epochs[0].row_hits, 1);
         assert_eq!(report.epochs[0].row_misses, 1);
         assert_eq!(report.sources(), vec![0, 1]);
         assert_eq!(report.total_bytes(), 160);
-    }
-
-    #[test]
-    fn noop_recorder_reports_nothing() {
-        let mut r = NoopRecorder;
-        r.on_serve(0, 0, 64, 1, RowEvent::Hit);
-        r.finish(10);
-        assert!(r.report().is_none());
     }
 }

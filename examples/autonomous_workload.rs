@@ -11,7 +11,7 @@
 //! ```
 
 use pccs_core::SlowdownModel;
-use pccs_soc::corun::{CoRunSim, Placement};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_workloads::calibrate::{build_model, CalibrationConfig};
@@ -64,9 +64,10 @@ fn main() {
         .collect();
 
     // The actual co-run.
-    let mut sim = CoRunSim::new(&soc);
-    sim.horizon(horizon);
-    sim.repeats(2);
+    let mut sim = CoRunSim::with_config(
+        &soc,
+        CoRunConfig::default().with_horizon(horizon).with_repeats(2),
+    );
     for (pu, _, k) in &modules {
         sim.place(Placement::kernel(*pu, k.clone()));
     }

@@ -8,7 +8,6 @@
 
 use pccs_core::PccsModel;
 use pccs_dram::config::DramConfig;
-use pccs_dram::multi::MultiMcSystem;
 use pccs_dram::policy::PolicyKind;
 use pccs_dram::request::SourceId;
 use pccs_dram::sim::DramSystem;
@@ -25,7 +24,7 @@ fn main() {
     // --- 1. Multi-MC: the same traffic over 1 vs 2 controllers -----------
     println!("== multi-MC (Section 5: 'Address mapping and multi-MC') ==");
     for mcs in [1usize, 2] {
-        let mut sys = MultiMcSystem::new(DramConfig::xavier(), mcs, PolicyKind::Atlas);
+        let mut sys = DramSystem::with_controllers(DramConfig::xavier(), mcs, PolicyKind::Atlas);
         for s in 0..4 {
             sys.add_generator(
                 StreamTraffic::builder(SourceId(s))

@@ -30,6 +30,20 @@ jobs_determinism() {
   [[ -n ${out1} ]] && diff <(echo "${out1}") <(echo "${out2}")
 }
 
+# The perfbench digests must match the committed reference
+# (scripts/perfbench-digests.txt). `--seconds 0` runs one iteration of
+# each workload: about 15 s in all.
+perfbench_digests() {
+  local run workload seed
+  diff <(grep -v '^#' scripts/perfbench-digests.txt) <(
+    for run in "model_pipeline 1" "mc_policies 1" "serve_online 1" "serve_online 2"; do
+      read -r workload seed <<<"${run}"
+      cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seed "${seed}" --seconds 0 --trace 0 | grep '^digest '
+    done
+  )
+}
+
 # The committed model-accuracy baseline (ACCURACY_<host>_<date>.json,
 # DESIGN.md §12) must exist and satisfy the pccs-accuracy/v1 schema.
 accuracy_baseline() {
@@ -94,6 +108,7 @@ step trace-check ./target/release/pccs trace-check --file target/trace-smoke.jso
 # above never compiles it; its tests catch a crate API change that breaks
 # it before the benchmark itself is run.
 step perfbench-test cargo test --offline --manifest-path perfbench/Cargo.toml
+step perfbench-digests perfbench_digests
 # Audit smoke: a quick `pccs audit` must replay the validation figures
 # with the prediction-audit ledger on and produce a schema-valid
 # ACCURACY_*.json (the CLI validates before writing, and run_accuracy

@@ -4,7 +4,6 @@
 
 use pccs_core::{PccsModel, SlowdownModel};
 use pccs_dram::config::DramConfig;
-use pccs_dram::multi::MultiMcSystem;
 use pccs_dram::policy::PolicyKind;
 use pccs_dram::request::SourceId;
 use pccs_dram::sim::DramSystem;
@@ -23,7 +22,7 @@ fn multi_mc_contention_still_shows_three_region_flavour() {
     // bandwidth under growing pressure should fall then stabilize, as with
     // a single MC.
     let run = |pressure: f64| {
-        let mut sys = MultiMcSystem::new(DramConfig::xavier(), 2, PolicyKind::Atlas);
+        let mut sys = DramSystem::with_controllers(DramConfig::xavier(), 2, PolicyKind::Atlas);
         sys.add_generator(
             StreamTraffic::builder(SourceId(0))
                 .demand_gbps(60.0)

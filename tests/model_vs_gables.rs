@@ -4,7 +4,7 @@
 
 use pccs_core::SlowdownModel;
 use pccs_gables::GablesModel;
-use pccs_soc::corun::{CoRunSim, Placement};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_workloads::calibrate::{build_model, CalibrationConfig};
@@ -47,9 +47,10 @@ fn pccs_beats_gables_on_unseen_benchmarks() {
         let kernel = bench.kernel(PuKind::Gpu);
         let standalone = CoRunSim::standalone_averaged(&soc, gpu, &kernel, HORIZON, 2);
         for &y in &pressures {
-            let mut sim = CoRunSim::new(&soc);
-            sim.horizon(HORIZON);
-            sim.repeats(2);
+            let mut sim = CoRunSim::with_config(
+                &soc,
+                CoRunConfig::default().with_horizon(HORIZON).with_repeats(2),
+            );
             sim.place(Placement::kernel(gpu, kernel.clone()));
             sim.external_pressure(cpu, y);
             let actual = sim
@@ -89,9 +90,10 @@ fn gables_predicts_no_slowdown_below_peak() {
     assert!(standalone.bw_gbps + y < soc.peak_bw_gbps());
     assert_eq!(gables.relative_speed_pct(standalone.bw_gbps, y), 100.0);
 
-    let mut sim = CoRunSim::new(&soc);
-    sim.horizon(HORIZON);
-    sim.repeats(2);
+    let mut sim = CoRunSim::with_config(
+        &soc,
+        CoRunConfig::default().with_horizon(HORIZON).with_repeats(2),
+    );
     sim.place(Placement::kernel(gpu, kernel));
     sim.external_pressure(cpu, y);
     let actual = sim.execute().relative_speed_pct(gpu, &standalone).unwrap();

@@ -3,7 +3,7 @@
 //! than the phase-oblivious average.
 
 use pccs_core::{PccsModel, PhasedWorkload};
-use pccs_soc::corun::{CoRunSim, Placement};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_workloads::rodinia::RodiniaBenchmark;
@@ -61,9 +61,10 @@ fn measured_phased_slowdown_sits_below_average_prediction() {
     for (k, &w) in kernels.iter().zip(weights.iter()) {
         let standalone = CoRunSim::standalone_averaged(&soc, gpu, k, HORIZON, 2);
         demands.push(standalone.bw_gbps);
-        let mut sim = CoRunSim::new(&soc);
-        sim.horizon(HORIZON);
-        sim.repeats(2);
+        let mut sim = CoRunSim::with_config(
+            &soc,
+            CoRunConfig::default().with_horizon(HORIZON).with_repeats(2),
+        );
         sim.place(Placement::kernel(gpu, k.clone()));
         sim.external_pressure(cpu, y);
         let rs = sim
