@@ -18,6 +18,8 @@
 //! Directives inside doc comments (`///`, `//!`, `/** */`, `/*! */`) are
 //! deliberately ignored: rustdoc text is prose about the code, not the
 //! code — quoting the waiver syntax in documentation must never waive.
+//!
+//! [`LexedFile::strings`]: crate::lexer::LexedFile::strings
 
 use std::collections::{BTreeMap, BTreeSet};
 

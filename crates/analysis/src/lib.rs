@@ -1,4 +1,4 @@
-//! Repo-specific static analysis for the PCCS workspace: `pccs-lint`.
+//! Repo-specific static analysis for the PCCS workspace: `pccs lint`.
 //!
 //! The simulators promise two properties no general-purpose tool checks:
 //! hot paths never panic (a co-run sweep must not die mid-batch on a
@@ -10,9 +10,9 @@
 //! small rule engine ([`rules`]), because the build environment has no
 //! registry access for `syn`-based tooling.
 //!
-//! Run it via `cargo run -p pccs-analysis --bin pccs-lint`, the `pccs lint`
-//! CLI subcommand, or `scripts/check.sh`. See [`rules`] for the rule table
-//! and the `// pccs-lint: allow(<rule>)` waiver syntax.
+//! Run it via the `pccs lint` CLI subcommand or `scripts/check.sh`. See
+//! [`rules`] for the rule table and the `// pccs-lint: allow(<rule>)`
+//! waiver syntax.
 //!
 //! # Example
 //!
@@ -67,20 +67,6 @@ pub(crate) fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
     Ok(())
 }
 
-/// Lints every `.rs` file under `<root>/crates` with the file-scoped
-/// *and* workspace-scoped rules, returning the merged report. Paths in
-/// findings are relative to `root`. Equivalent to
-/// [`workspace::analyze_root`] followed by [`workspace::WorkspaceIndex::run`]
-/// with default options.
-///
-/// # Errors
-///
-/// Propagates I/O errors from walking or reading the tree; a missing
-/// `crates/` directory is reported as [`io::ErrorKind::NotFound`].
-pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    Ok(workspace::analyze_root(root)?.run(&workspace::LintOptions::default()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,7 +79,9 @@ mod tests {
             .unwrap()
             .parent()
             .unwrap();
-        let report = lint_workspace(root).expect("workspace lints");
+        let report = workspace::analyze_root(root)
+            .expect("workspace lints")
+            .run(&workspace::LintOptions::default());
         assert!(
             report.files_scanned > 50,
             "expected a real workspace walk, scanned {}",
@@ -103,7 +91,7 @@ mod tests {
 
     #[test]
     fn missing_root_is_a_not_found_error() {
-        let err = lint_workspace(Path::new("/nonexistent-pccs-root")).unwrap_err();
+        let err = workspace::analyze_root(Path::new("/nonexistent-pccs-root")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 }

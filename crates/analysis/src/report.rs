@@ -7,6 +7,8 @@
 //! shims). The scope is part of the JSONL record so downstream tooling
 //! can split a CI gate into a cheap per-file pass and a full workspace
 //! pass without re-deriving rule tables.
+//!
+//! [`Scope`]: crate::report::Scope
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

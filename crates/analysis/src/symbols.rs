@@ -12,6 +12,8 @@
 //! alias each other's references. For linting that errs in the safe
 //! direction — a shared name can only *suppress* a dead-pub finding,
 //! never invent one — which is the right bias for a CI gate.
+//!
+//! [`index_file`]: crate::symbols::index_file
 
 use crate::lexer::{LexedFile, Token, TokenKind};
 use crate::rules::METRICS_PUBLISH_FNS;

@@ -25,6 +25,10 @@
 //! against unlexed files falls back to a conservative word-boundary text
 //! search, which can only over-count references — so the diff-aware
 //! report is always a strict subset of the full run.
+//!
+//! [`WorkspaceIndex::analyze`]: crate::workspace::WorkspaceIndex::analyze
+//! [`WorkspaceIndex::run`]: crate::workspace::WorkspaceIndex::run
+//! [`lint_changed`]: crate::workspace::lint_changed
 
 use crate::graph;
 use crate::lexer::lex;
@@ -527,10 +531,14 @@ fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
 }
 
 /// Full-tree analysis: phase 1 over every file under `<root>/crates`.
+/// `analyze_root(root)?.run(&LintOptions::default())` lints the whole
+/// tree with every rule, as `pccs lint` does without filters; paths in
+/// findings are relative to `root`.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from walking or reading the tree.
+/// Propagates I/O errors from walking or reading the tree; a missing
+/// `crates/` directory is reported as [`io::ErrorKind::NotFound`].
 pub fn analyze_root(root: &Path) -> io::Result<WorkspaceIndex> {
     let mut sources = Vec::new();
     for (rel, path) in workspace_files(root)? {

@@ -3,7 +3,6 @@
 //! — file-scoped and workspace-scoped — and the workspace itself must
 //! lint clean.
 
-use pccs_analysis::lint_workspace;
 use pccs_analysis::report::Scope;
 use pccs_analysis::rules::rule_scope;
 use pccs_analysis::workspace::{analyze_root, LintOptions};
@@ -25,7 +24,9 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn seeded_fixture_trips_every_rule() {
-    let report = lint_workspace(fixture_root()).expect("fixture tree lints");
+    let report = analyze_root(fixture_root())
+        .expect("fixture tree lints")
+        .run(&LintOptions::default());
     assert!(!report.is_clean(), "seeded fixture must produce findings");
     let per_rule = report.per_rule();
     assert_eq!(
@@ -102,7 +103,9 @@ fn drift_rule_is_falsifiable_on_the_fixture_tree() {
 
 #[test]
 fn the_workspace_lints_clean() {
-    let report = lint_workspace(workspace_root()).expect("workspace lints");
+    let report = analyze_root(workspace_root())
+        .expect("workspace lints")
+        .run(&LintOptions::default());
     assert!(
         report.is_clean(),
         "workspace must lint clean:\n{}",
@@ -112,7 +115,9 @@ fn the_workspace_lints_clean() {
 
 #[test]
 fn jsonl_export_of_fixture_findings_parses() {
-    let report = lint_workspace(fixture_root()).expect("fixture tree lints");
+    let report = analyze_root(fixture_root())
+        .expect("fixture tree lints")
+        .run(&LintOptions::default());
     for line in report.to_jsonl().lines() {
         let v: Value = serde_json::from_str(line).expect("valid JSON line");
         let Value::Object(map) = v else {

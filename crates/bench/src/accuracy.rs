@@ -23,11 +23,15 @@
 //! with auditing on vs off (best of N runs each). The test suite checks
 //! the disabled ledger deterministically instead: a run with it off
 //! records nothing and allocates nothing.
+//!
+//! [`run_accuracy`]: crate::accuracy::run_accuracy
+//! [`validate`]: crate::accuracy::validate
+//! [`compare`]: crate::accuracy::compare
 
 use crate::{best_of, contended_sim, hostname, today_utc};
 use pccs_experiments::context::{Context, Quality};
 use pccs_experiments::validate::{run as run_figure, Figure};
-use pccs_soc::corun::{CoRunSim, DEFAULT_HORIZON};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, DEFAULT_HORIZON};
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::{self, AuditRecord, Scorecard};
 use pccs_workloads::rodinia::RodiniaBenchmark;
@@ -204,7 +208,8 @@ pub fn run_accuracy(quick: bool) -> AccuracyReport {
 fn audited_corun(soc: &SocConfig, horizon: u64) -> CoRunSim {
     let gpu = soc.pu_index("GPU").unwrap_or(0);
     let kernel = RodiniaBenchmark::Streamcluster.kernel(soc.pus[gpu].kind);
-    let standalone = CoRunSim::standalone(soc, gpu, &kernel, horizon);
+    let config = CoRunConfig::default().with_horizon(horizon);
+    let standalone = CoRunSim::standalone(soc, gpu, &kernel, &config);
     let mut sim = contended_sim(soc, horizon);
     sim.expect_rs("bench-overhead", "streamcluster", "-", standalone, 80.0);
     sim

@@ -13,15 +13,14 @@ use pccs_sched::engine::{run_schedule, SchedConfig};
 use pccs_sched::policy::{policy_by_name, PccsPolicy, Policy};
 use pccs_sched::{mixes, JobOutcome};
 use pccs_serve::{
-    boxed_models, calibrated_models, paper_models, run_serve, AdmissionPolicy, ArrivalProcess,
-    ServeConfig,
+    boxed_models, paper_models, run_serve, AdmissionPolicy, ArrivalProcess, ServeConfig,
 };
 use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement, DEFAULT_HORIZON};
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::export::{self, SummaryRow};
 use pccs_telemetry::{Profiler, RunManifest};
-use pccs_workloads::calibrate::{build_model, CalibrationConfig};
+use pccs_workloads::calibrate::{build_model, build_models, pressure_pu, CalibrationConfig};
 use pccs_workloads::rodinia::RodiniaBenchmark;
 use serde_json::{Number, Value};
 use std::collections::BTreeMap;
@@ -39,32 +38,30 @@ fn soc_by_name(name: &str) -> Result<SocConfig, ArgError> {
 }
 
 fn pu_index(soc: &SocConfig, name: &str) -> Result<usize, ArgError> {
-    soc.pu_index(&name.to_ascii_uppercase()).ok_or_else(|| {
-        ArgError(format!(
-            "SoC {} has no PU named '{name}' (has: {})",
-            soc.name,
-            soc.pus
-                .iter()
-                .map(|p| p.name.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    })
+    soc.pu_index(&name.to_ascii_uppercase())
+        .ok_or_else(|| no_such_pu(soc, name))
+}
+
+/// The PU that applies external pressure to PU `pu` (the paper's rule,
+/// [`pressure_pu`]), or the error naming the PU `soc` lacks for it.
+fn pressure_of(soc: &SocConfig, pu: usize) -> Result<usize, ArgError> {
+    pressure_pu(soc, pu).map_err(|missing| no_such_pu(soc, missing))
+}
+
+fn no_such_pu(soc: &SocConfig, name: &str) -> ArgError {
+    ArgError(format!(
+        "SoC {} has no PU named '{name}' (has: {})",
+        soc.name,
+        soc.pus
+            .iter()
+            .map(|p| p.name.as_str())
+            .collect::<Vec<_>>()
+            .join(", ")
+    ))
 }
 
 fn pu_kind(soc: &SocConfig, pu: usize) -> PuKind {
     soc.pus[pu].kind
-}
-
-/// The PU that generates external pressure against `pu`: the CPU, unless
-/// the target *is* the CPU, in which case the GPU.
-fn pressure_pu(soc: &SocConfig, pu: usize) -> Result<usize, ArgError> {
-    let cpu = pu_index(soc, "CPU")?;
-    if pu == cpu {
-        pu_index(soc, "GPU")
-    } else {
-        Ok(cpu)
-    }
 }
 
 fn bench_kernel(
@@ -95,7 +92,7 @@ pub fn socs() -> Result<(), ArgError> {
 pub fn calibrate(args: &Args) -> Result<(), ArgError> {
     let soc = soc_by_name(args.require("soc")?)?;
     let pu = pu_index(&soc, args.require("pu")?)?;
-    let pressure = pressure_pu(&soc, pu)?;
+    let pressure = pressure_of(&soc, pu)?;
     let mut cfg = if args.has("quick") {
         CalibrationConfig::quick()
     } else {
@@ -164,7 +161,12 @@ pub fn predict(args: &Args) -> Result<(), ArgError> {
         let soc = soc_by_name(args.require("soc")?)?;
         let pu = pu_index(&soc, args.require("pu")?)?;
         let kernel = bench_kernel(&soc, pu, bench)?;
-        let profile = CoRunSim::standalone_averaged(&soc, pu, &kernel, 30_000, 2);
+        let profile = CoRunSim::standalone(
+            &soc,
+            pu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(30_000).with_repeats(2),
+        );
         println!(
             "{bench} standalone demand on {}/{}: {:.1} GB/s",
             soc.name, soc.pus[pu].name, profile.bw_gbps
@@ -212,7 +214,7 @@ pub fn explore_freq(args: &Args) -> Result<(), ArgError> {
         println!("  {f:>6.0} MHz: predicted co-run perf {rel:.2} of best");
     }
     if args.has("truth") {
-        let pressure = pressure_pu(&soc, pu)?;
+        let pressure = pressure_of(&soc, pu)?;
         let truth = ground_truth_frequency(
             &soc, pu, pressure, &kernel, &freqs, external, budget, horizon,
         );
@@ -257,7 +259,7 @@ pub fn corun(args: &Args) -> Result<(), ArgError> {
     }
     sim.place(Placement::kernel(pu, kernel));
     let pressure = if external > 0.0 {
-        let p = pressure_pu(&soc, pu)?;
+        let p = pressure_of(&soc, pu)?;
         sim.external_pressure(p, external);
         Some(p)
     } else {
@@ -379,7 +381,9 @@ pub fn sched(args: &Args) -> Result<(), ArgError> {
     let mut policy: Box<dyn Policy> = if policy_name.eq_ignore_ascii_case("pccs") && quick {
         let mut cal = CalibrationConfig::quick();
         cal.threads = args.get_usize("jobs", 0)?;
-        Box::new(PccsPolicy::calibrated(&soc, &cal))
+        Box::new(PccsPolicy::new(boxed_models(
+            &build_models(&soc, &cal).map_err(ArgError)?,
+        )))
     } else {
         policy_by_name(&soc, policy_name).ok_or_else(|| {
             ArgError(format!(
@@ -524,7 +528,7 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
                 pccs_sched::policy::default_calibration()
             };
             cal.threads = args.get_usize("jobs", 0)?;
-            let models = calibrated_models(&soc, &cal).map_err(|e| ArgError(e.to_string()))?;
+            let models = build_models(&soc, &cal).map_err(ArgError)?;
             let policy = Box::new(PccsPolicy::new(boxed_models(&models)));
             (models, policy)
         } else {

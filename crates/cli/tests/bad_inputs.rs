@@ -190,3 +190,24 @@ fn sched_scale_and_serve_rate_must_be_finite_and_positive() {
         );
     }
 }
+
+#[test]
+fn serve_rejects_an_arrival_stream_too_large_to_generate() {
+    // 10^12 arrivals per Mcycle would expect ~10^12 events over the quick
+    // duration; the generator refuses before allocating any of them.
+    for arrivals in ["poisson", "bursty"] {
+        assert_rejected(
+            &[
+                "serve",
+                "--quick",
+                "--policy",
+                "greedy",
+                "--rate",
+                "1e12",
+                "--arrivals",
+                arrivals,
+            ],
+            "expected arrivals",
+        );
+    }
+}

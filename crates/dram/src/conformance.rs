@@ -38,6 +38,8 @@
 //! (possibly future) command-bus timestamps; sorting once at the end is
 //! cheaper and simpler than a reorder buffer. Memory cost is one small
 //! record per DRAM command, which is why the observer is opt-in.
+//!
+//! [`CommandRecord`]: crate::conformance::CommandRecord
 
 use crate::config::DramConfig;
 use crate::timing::DramTiming;

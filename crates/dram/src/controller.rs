@@ -18,6 +18,8 @@
 //! [`crate::conformance`] sanitizer via
 //! [`MemoryController::enable_conformance`] to replay it against reference
 //! timing constraints.
+//!
+//! [`MemoryController::enable_conformance`]: crate::controller::MemoryController::enable_conformance
 
 use crate::bank::Bank;
 use crate::config::DramConfig;

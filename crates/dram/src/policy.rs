@@ -17,6 +17,12 @@
 //! controller. Source ids are small dense integers, so that state lives in
 //! tables indexed by `SourceId.0`; an id past a table's end reads as a
 //! source the policy has never seen.
+//!
+//! [`Fcfs`]: crate::policy::Fcfs
+//! [`FrFcfs`]: crate::policy::FrFcfs
+//! [`Atlas`]: crate::policy::Atlas
+//! [`Tcm`]: crate::policy::Tcm
+//! [`Sms`]: crate::policy::Sms
 
 use crate::request::SourceId;
 use rand::rngs::SmallRng;

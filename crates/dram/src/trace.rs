@@ -21,6 +21,8 @@
 //! assert_eq!(out.completed[&SourceId(0)], 3);
 //! # Ok::<(), pccs_dram::trace::TraceParseError>(())
 //! ```
+//!
+//! [`TraceSource`]: crate::trace::TraceSource
 
 use crate::config::DramConfig;
 use crate::controller::Completion;

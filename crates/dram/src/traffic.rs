@@ -6,6 +6,8 @@
 //! with a configurable probability of staying within the current DRAM row
 //! (row locality) and a bounded number of outstanding requests (memory-level
 //! parallelism).
+//!
+//! [`StreamTraffic`]: crate::traffic::StreamTraffic
 
 use crate::config::DramConfig;
 use crate::controller::Completion;

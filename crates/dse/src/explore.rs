@@ -3,7 +3,7 @@
 //! Section 3.4).
 
 use pccs_core::SlowdownModel;
-use pccs_soc::corun::CoRunSim;
+use pccs_soc::corun::{CoRunConfig, CoRunSim};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use serde::{Deserialize, Serialize};
@@ -46,11 +46,12 @@ pub fn explore_core_counts<M: SlowdownModel + ?Sized>(
     assert!(!core_counts.is_empty(), "at least one core count required");
     let mut counts = core_counts.to_vec();
     counts.sort_unstable();
+    let config = CoRunConfig::default().with_horizon(horizon);
     let mut points: Vec<CoreCountPoint> = counts
         .into_iter()
         .map(|cores| {
             let resized = soc.with_pu(pu_idx, soc.pus[pu_idx].with_cores(cores));
-            let profile = CoRunSim::standalone(&resized, pu_idx, kernel, horizon);
+            let profile = CoRunSim::standalone(&resized, pu_idx, kernel, &config);
             let rs = model.relative_speed_pct(profile.bw_gbps, external_gbps);
             CoreCountPoint {
                 cores,

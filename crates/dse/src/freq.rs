@@ -45,11 +45,12 @@ pub fn profile_frequencies(
         !freqs.is_empty(),
         "at least one candidate frequency required"
     );
+    let config = CoRunConfig::default().with_horizon(horizon);
     freqs
         .iter()
         .map(|&f| {
             let reclocked = soc.with_pu(pu_idx, soc.pus[pu_idx].with_frequency(f));
-            let profile = CoRunSim::standalone(&reclocked, pu_idx, kernel, horizon);
+            let profile = CoRunSim::standalone(&reclocked, pu_idx, kernel, &config);
             FrequencyPoint {
                 freq_mhz: f,
                 standalone_rate: profile.lines_per_cycle,

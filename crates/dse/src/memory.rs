@@ -12,6 +12,7 @@ use pccs_core::{PccsModel, SlowdownModel};
 use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
+use pccs_workloads::calibrate::pressure_pu;
 use serde::{Deserialize, Serialize};
 
 /// One candidate memory configuration and its evaluation.
@@ -39,8 +40,9 @@ pub struct MemoryDesignPoint {
 ///
 /// # Panics
 ///
-/// Panics if `candidates` is empty or a candidate has zero channels or a
-/// non-positive clock ratio.
+/// Panics if `candidates` is empty, a candidate has zero channels or a
+/// non-positive clock ratio, or `measure_truth` is set on a SoC lacking
+/// the PU that [`pressure_pu`] names.
 #[allow(clippy::too_many_arguments)] // mirrors the exploration's knobs 1:1
 pub fn explore_memory_configs(
     soc: &SocConfig,
@@ -67,17 +69,13 @@ pub fn explore_memory_configs(
             let peak = candidate.peak_bw_gbps();
             let scaled = nominal_model.scale_bandwidth(peak / nominal_peak);
 
-            let profile = CoRunSim::standalone(&candidate, pu_idx, kernel, horizon);
+            let config = CoRunConfig::default().with_horizon(horizon);
+            let profile = CoRunSim::standalone(&candidate, pu_idx, kernel, &config);
             let predicted = scaled.relative_speed_pct(profile.bw_gbps, external_gbps);
 
             let actual = measure_truth.then(|| {
-                let pressure = if candidate.pus[pu_idx].name == "CPU" {
-                    candidate.pu_index("GPU").expect("GPU")
-                } else {
-                    candidate.pu_index("CPU").expect("CPU")
-                };
-                let mut sim =
-                    CoRunSim::with_config(&candidate, CoRunConfig::default().with_horizon(horizon));
+                let pressure = pressure_pu(&candidate, pu_idx).expect("SoC lacks the pressure PU");
+                let mut sim = CoRunSim::with_config(&candidate, config);
                 sim.place(Placement::kernel(pu_idx, kernel.clone()));
                 sim.external_pressure(pressure, external_gbps);
                 sim.execute()

@@ -27,8 +27,8 @@
 //!
 //! `--audit-out <file>` enables the prediction-audit
 //! ledger (DESIGN.md §12), writes every resolved (prediction,
-//! ground-truth) pair from the validation figures as JSONL, and prints
-//! the accuracy scorecard at the end of the run.
+//! ground-truth) pair from the selected experiments as JSONL, and prints
+//! one accuracy scorecard per (source, unit) at the end of the run.
 
 use pccs_experiments::context::{Context, Quality};
 use pccs_experiments::validate::Figure;
@@ -279,8 +279,20 @@ fn main() {
         }
         if records.is_empty() {
             println!("audit scorecard: no predictions were resolved (run the validation figures)");
-        } else {
-            println!("{}", audit::render_scorecard(&audit::scorecard(&records)));
+        }
+        // Errors in different units (percentage points of relative speed,
+        // memory cycles) do not average, so each (source, unit) pair gets
+        // its own scorecard.
+        let mut groups: BTreeMap<(&str, &str), Vec<audit::AuditRecord>> = BTreeMap::new();
+        for r in &records {
+            groups
+                .entry((&r.source, &r.unit))
+                .or_default()
+                .push(r.clone());
+        }
+        for ((source, unit), group) in &groups {
+            println!("audit scorecard: {source} predictions in {unit}");
+            println!("{}", audit::render_scorecard(&audit::scorecard(group)));
         }
     }
     if let Some(path) = &trace_out {

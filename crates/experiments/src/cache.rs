@@ -17,6 +17,8 @@
 //! name-based key would silently alias physically different machines.
 //! Serialized-exact keys cost a few hundred bytes per entry and make
 //! collisions impossible.
+//!
+//! [`StandaloneProfile`]: pccs_soc::corun::StandaloneProfile
 
 use pccs_soc::corun::{CoRunConfig, CoRunSim, StandaloneProfile};
 use pccs_soc::kernel::KernelDesc;
@@ -110,7 +112,7 @@ impl ProfileCache {
         }
         // Simulate outside the lock so distinct cold keys fill in parallel.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let profile = CoRunSim::standalone_with(soc, pu_idx, kernel, config);
+        let profile = CoRunSim::standalone(soc, pu_idx, kernel, config);
         self.entries
             .lock()
             .expect("profile cache")

@@ -9,12 +9,12 @@
 
 use crate::cache::{CacheStats, ProfileCache};
 use crate::error::ExperimentError;
-use pccs_core::{CalibrationData, PccsModel};
+use pccs_core::{CalibrationData, PccsModel, SlowdownModel};
 use pccs_gables::GablesModel;
 use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement, StandaloneProfile};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
-use pccs_workloads::calibrate::{build_model, CalibrationConfig};
+use pccs_workloads::calibrate::{build_model, pressure_pu, worker_count, CalibrationConfig};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -75,13 +75,7 @@ impl Context {
 
     /// The resolved worker-thread count (always ≥ 1).
     pub fn jobs(&self) -> usize {
-        if self.jobs > 0 {
-            self.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
+        worker_count(self.jobs)
     }
 
     /// Simulation horizon in memory cycles.
@@ -120,28 +114,7 @@ impl Context {
     /// PU, and the PUs that do exist.
     pub fn require_pu(soc: &SocConfig, name: &str) -> Result<usize, ExperimentError> {
         soc.pu_index(name)
-            .ok_or_else(|| ExperimentError::MissingPu {
-                soc: soc.name.clone(),
-                pu: name.to_owned(),
-                available: soc.pus.iter().map(|pu| pu.name.clone()).collect(),
-            })
-    }
-
-    /// The paper's pressure-PU convention: "For the CPU model, we create
-    /// the external pressure using the GPU; for the GPU and DLA models, we
-    /// create the external pressure using the CPU" (§4.1.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the SoC lacks a CPU or GPU — every bundled preset has
-    /// both.
-    pub fn pressure_pu_for(soc: &SocConfig, target_pu: usize) -> usize {
-        let cpu = Self::require_pu(soc, "CPU").unwrap_or_else(|e| panic!("{e}"));
-        if target_pu == cpu {
-            Self::require_pu(soc, "GPU").unwrap_or_else(|e| panic!("{e}"))
-        } else {
-            cpu
-        }
+            .ok_or_else(|| ExperimentError::missing_pu(soc, name))
     }
 
     /// The constructed PCCS model of PU `pu_idx` on `soc` (cached).
@@ -152,6 +125,15 @@ impl Context {
     /// SoC presets it does not.
     pub fn pccs_model(&self, soc: &SocConfig, pu_idx: usize) -> PccsModel {
         self.model_and_data(soc, pu_idx).0
+    }
+
+    /// The cached PCCS model of every PU of `soc`, boxed in PU order — the
+    /// set a [`pccs_sched::policy::PccsPolicy`] and serving admission
+    /// control take.
+    pub fn pccs_models(&self, soc: &SocConfig) -> Vec<Box<dyn SlowdownModel>> {
+        (0..soc.pus.len())
+            .map(|pu| Box::new(self.pccs_model(soc, pu)) as Box<dyn SlowdownModel>)
+            .collect()
     }
 
     /// The constructed model together with its calibration matrix (cached).
@@ -165,7 +147,7 @@ impl Context {
         if let Some(found) = self.models.lock().expect("model cache").get(&key) {
             return found.clone();
         }
-        let pressure = Self::pressure_pu_for(soc, pu_idx);
+        let pressure = pressure_pu(soc, pu_idx).expect("SoC lacks the pressure PU");
         let cfg = self.calibration_config();
         let built = build_model(soc, pu_idx, pressure, &cfg)
             .unwrap_or_else(|e| panic!("model construction failed for {}/{pu_idx}: {e}", soc.name));
@@ -209,10 +191,10 @@ impl Context {
         standalone: &StandaloneProfile,
         external_gbps: f64,
     ) -> f64 {
-        let pressure_pu = Self::pressure_pu_for(soc, pu_idx);
+        let pressure = pressure_pu(soc, pu_idx).expect("SoC lacks the pressure PU");
         let mut sim = CoRunSim::with_config(soc, self.corun_config());
         sim.place(Placement::kernel(pu_idx, kernel.clone()));
-        sim.external_pressure(pressure_pu, external_gbps);
+        sim.external_pressure(pressure, external_gbps);
         let out = sim.execute();
         out.relative_speed_pct(pu_idx, standalone)
             .expect("kernel PU is placed")
@@ -246,17 +228,6 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pressure_pu_convention_matches_paper() {
-        let soc = SocConfig::xavier();
-        let cpu = soc.pu_index("CPU").unwrap();
-        let gpu = soc.pu_index("GPU").unwrap();
-        let dla = soc.pu_index("DLA").unwrap();
-        assert_eq!(Context::pressure_pu_for(&soc, cpu), gpu);
-        assert_eq!(Context::pressure_pu_for(&soc, gpu), cpu);
-        assert_eq!(Context::pressure_pu_for(&soc, dla), cpu);
-    }
 
     #[test]
     fn quality_scales_fidelity() {

@@ -6,6 +6,7 @@
 //! inside an experiment; it now surfaces as an [`ExperimentError`] that the
 //! `repro` binary prints as a one-line diagnosis.
 
+use pccs_soc::soc::SocConfig;
 use std::fmt;
 
 /// A failure preparing or running an experiment.
@@ -66,6 +67,17 @@ impl fmt::Display for ExperimentError {
             ),
             Self::Sched { detail } => write!(f, "scheduling engine: {detail}"),
             Self::Serve { detail } => write!(f, "serving loop: {detail}"),
+        }
+    }
+}
+
+impl ExperimentError {
+    /// The [`ExperimentError::MissingPu`] for PU `name` on `soc`.
+    pub(crate) fn missing_pu(soc: &SocConfig, name: &str) -> Self {
+        Self::MissingPu {
+            soc: soc.name.clone(),
+            pu: name.to_owned(),
+            available: soc.pus.iter().map(|pu| pu.name.clone()).collect(),
         }
     }
 }

@@ -8,13 +8,13 @@
 //! is the empirical motivation for PCCS.
 
 use crate::context::Context;
-use crate::error::Result;
+use crate::error::{ExperimentError, Result};
 use crate::runner::{run_experiment, Experiment};
 use crate::table::TextTable;
 use pccs_soc::corun::{CoRunSim, Placement, StandaloneProfile};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
-use pccs_workloads::calibrate::calibrator_kernel;
+use pccs_workloads::calibrate::{calibrator_kernel, pressure_pu};
 use serde::{Deserialize, Serialize};
 
 /// One PU's bandwidth-met curve.
@@ -79,7 +79,8 @@ impl Experiment for Fig2Experiment {
             setups.push(Fig2Setup {
                 pu_name,
                 pu,
-                pressure_pu: Context::pressure_pu_for(&soc, pu),
+                pressure_pu: pressure_pu(&soc, pu)
+                    .map_err(|missing| ExperimentError::missing_pu(&soc, missing))?,
                 standalone: ctx.standalone(&soc, pu, &kernel),
                 kernel,
             });

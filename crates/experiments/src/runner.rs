@@ -4,16 +4,18 @@
 //! independent *cells* (a benchmark, a pressure level, a clock ratio, a
 //! policy…), simulate each cell, and merge the per-cell results into one
 //! serializable figure/table. [`Experiment`] names that shape once, and
-//! [`SweepRunner`] fans the cells out over `std::thread::scope` workers.
+//! [`SweepRunner`] fans the cells out over the workspace's one worker pool,
+//! [`pccs_workloads::calibrate::parallel_map`] (the calibration sweeps run
+//! on it too).
 //!
 //! # Determinism
 //!
 //! Cells are independent and every simulation is seeded, so the merge sees
 //! the same per-cell results in the same order regardless of the worker
 //! count: `--jobs N` output is byte-identical to `--jobs 1`. The runner
-//! guarantees this by writing each cell's result into its own slot
-//! (work-stealing over an atomic index, order-preserving collection) rather
-//! than collecting in completion order.
+//! guarantees this by collecting results in enumeration order (the pool
+//! writes each cell's result into that cell's own slot) rather than in
+//! completion order.
 //!
 //! # Adding a new figure/table
 //!
@@ -24,12 +26,14 @@
 //!    `run_cell` simulates one cell; `merge` assembles the output.
 //! 3. Keep a `pub fn run(ctx: &mut Context) -> Result<Output>` wrapper that
 //!    calls [`run_experiment`], and register it in `bin/repro.rs`.
+//!
+//! [`run_experiment`]: crate::runner::run_experiment
 
 use crate::context::Context;
 use crate::error::Result;
 use pccs_telemetry::{metrics, Profiler};
+use pccs_workloads::calibrate::{parallel_map, worker_count};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One reproduction artifact as a parallel sweep: shared preparation, an
 /// enumerated grid of independent cells, a per-cell simulation, and a merge
@@ -84,7 +88,7 @@ pub trait Experiment {
     ) -> Result<Self::Output>;
 }
 
-/// Fans [`Experiment`] cells out over scoped worker threads.
+/// Fans [`Experiment`] cells out over [`parallel_map`] workers.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     jobs: usize,
@@ -98,13 +102,7 @@ impl SweepRunner {
 
     /// The resolved worker count (always ≥ 1).
     pub fn jobs(&self) -> usize {
-        if self.jobs > 0 {
-            self.jobs
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
+        worker_count(self.jobs)
     }
 
     /// Runs `exp` to completion: prepare → sweep cells → merge.
@@ -130,56 +128,18 @@ impl SweepRunner {
         span.counter("jobs", workers as f64);
         let cell_scope = format!("cell.{}", exp.name());
 
-        let outs: Vec<Result<E::CellOut>> = if workers <= 1 {
-            cells
-                .iter()
-                .map(|cell| {
-                    let _cell_prof = Profiler::scope(&cell_scope);
-                    exp.run_cell(ctx, &prep, cell)
-                })
-                .collect()
-        } else {
-            // Work-stealing over an atomic cursor: workers grab the next
-            // unclaimed cell and write its result into that cell's slot, so
-            // collection order equals enumeration order no matter which
-            // worker finishes first.
-            let cursor = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<Result<E::CellOut>>>> =
-                cells.iter().map(|_| Mutex::new(None)).collect();
-            // Cells claimed by each worker; cells that did not go to worker
-            // 0 count as "steals" in the published sweep metrics.
-            let claimed: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-            std::thread::scope(|scope| {
-                // Shadow the shared state as references so the `move`
-                // closures (which need `worker` by value) only copy &-refs.
-                let (cursor, cells, slots) = (&cursor, &cells, &slots);
-                let (claimed, cell_scope, prep) = (&claimed, &cell_scope, &prep);
-                for worker_claimed in claimed.iter().take(workers) {
-                    scope.spawn(move || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(cell) = cells.get(i) else { break };
-                        worker_claimed.fetch_add(1, Ordering::Relaxed);
-                        let _cell_prof = Profiler::scope(cell_scope);
-                        let out = exp.run_cell(ctx, prep, cell);
-                        *slots[i].lock().expect("cell slot") = Some(out);
-                    });
-                }
-            });
-            let stolen: usize = claimed
-                .iter()
-                .skip(1)
-                .map(|c| c.load(Ordering::Relaxed))
-                .sum();
-            metrics::add("sweep.steals", stolen as u64);
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("cell slot")
-                        .expect("every cell claimed by a worker")
-                })
-                .collect()
-        };
+        // Cells that did not go to worker 0 count as "steals".
+        let stolen = AtomicUsize::new(0);
+        let outs = parallel_map(workers, &cells, |worker, cell| {
+            if worker > 0 {
+                stolen.fetch_add(1, Ordering::Relaxed);
+            }
+            let _cell_prof = Profiler::scope(&cell_scope);
+            exp.run_cell(ctx, &prep, cell)
+        });
+        if workers > 1 {
+            metrics::add("sweep.steals", stolen.into_inner() as u64);
+        }
         metrics::add("sweep.cells", cells.len() as u64);
         metrics::observe_max("sweep.workers", workers as u64);
 

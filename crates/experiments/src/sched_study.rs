@@ -13,7 +13,6 @@ use crate::context::{Context, Quality};
 use crate::error::{ExperimentError, Result};
 use crate::runner::{run_experiment, Experiment};
 use crate::table::TextTable;
-use pccs_core::SlowdownModel;
 use pccs_sched::engine::{run_schedule, SchedConfig};
 use pccs_sched::policy::{ObliviousGreedy, OraclePolicy, PccsPolicy, Policy, RoundRobin};
 use pccs_sched::{mixes, Mix};
@@ -48,13 +47,10 @@ pub struct SchedStudy {
 /// cursor). The PCCS policy reuses the context's cached per-PU models, so
 /// its calibration cost is paid once per SoC.
 fn policies(ctx: &Context, soc: &SocConfig) -> Vec<Box<dyn Policy>> {
-    let models: Vec<Box<dyn SlowdownModel>> = (0..soc.pus.len())
-        .map(|pu| Box::new(ctx.pccs_model(soc, pu)) as Box<dyn SlowdownModel>)
-        .collect();
     vec![
         Box::new(RoundRobin::default()),
         Box::new(ObliviousGreedy),
-        Box::new(PccsPolicy::new(models)),
+        Box::new(PccsPolicy::new(ctx.pccs_models(soc))),
         Box::new(OraclePolicy),
     ]
 }

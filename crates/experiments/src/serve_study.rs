@@ -13,7 +13,6 @@ use crate::context::{Context, Quality};
 use crate::error::Result;
 use crate::runner::{run_experiment, Experiment};
 use crate::table::TextTable;
-use pccs_core::SlowdownModel;
 use pccs_sched::policy::{ObliviousGreedy, PccsPolicy, Policy};
 use pccs_serve::request::contended_classes;
 use pccs_serve::{run_serve, ArrivalProcess, ServeConfig};
@@ -70,12 +69,7 @@ type ServeCell = (SocConfig, String, f64);
 
 fn policy_for(ctx: &Context, soc: &SocConfig, name: &str) -> Box<dyn Policy> {
     match name {
-        "pccs" => {
-            let models: Vec<Box<dyn SlowdownModel>> = (0..soc.pus.len())
-                .map(|pu| Box::new(ctx.pccs_model(soc, pu)) as Box<dyn SlowdownModel>)
-                .collect();
-            Box::new(PccsPolicy::new(models))
-        }
+        "pccs" => Box::new(PccsPolicy::new(ctx.pccs_models(soc))),
         _ => Box::new(ObliviousGreedy),
     }
 }
@@ -114,9 +108,7 @@ impl Experiment for ServeStudyExperiment {
             // Warm the model cache before the sweep fans out: every cell
             // wants the same per-PU models, and parallel workers racing a
             // cold cache would each rebuild them.
-            for pu in 0..soc.pus.len() {
-                let _ = ctx.pccs_model(&soc, pu);
-            }
+            let _ = ctx.pccs_models(&soc);
             for policy in ["greedy", "pccs"] {
                 for &rate in &rates {
                     cells.push((soc.clone(), policy.to_owned(), rate));
@@ -157,9 +149,7 @@ impl Experiment for ServeStudyExperiment {
             let mut policy = policy_for(ctx, soc, policy_name);
             // Both policies get the same contention-aware admission
             // models, so the curve isolates placement quality.
-            let models: Vec<Box<dyn SlowdownModel>> = (0..soc.pus.len())
-                .map(|pu| Box::new(ctx.pccs_model(soc, pu)) as Box<dyn SlowdownModel>)
-                .collect();
+            let models = ctx.pccs_models(soc);
             let report = run_serve(soc, &classes, policy.as_mut(), models, &cfg)?;
             row.offered += report.offered;
             row.completed += report.completed;

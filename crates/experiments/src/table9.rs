@@ -141,15 +141,10 @@ impl Experiment for Table9Experiment {
         // Figure 15 normalization: the top frequency's standalone rate.
         let fig_freqs = [freqs[freqs.len() - 1], freqs[freqs.len() / 2]];
         let top = soc.with_pu(gpu, soc.pus[gpu].with_frequency(fig_freqs[0]));
-        let base_rate = pccs_soc::corun::CoRunSim::standalone_averaged(
-            &top,
-            gpu,
-            &kernel,
-            ctx.horizon(),
-            ctx.repeats(),
-        )
-        .lines_per_cycle
-        .max(f64::MIN_POSITIVE);
+        let base_rate =
+            pccs_soc::corun::CoRunSim::standalone(&top, gpu, &kernel, &ctx.corun_config())
+                .lines_per_cycle
+                .max(f64::MIN_POSITIVE);
 
         let mut cells = Vec::new();
         for &budget in &budgets {

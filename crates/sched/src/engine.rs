@@ -125,7 +125,7 @@ impl<'a> SimProbe<'a> {
         if let Some(hit) = self.standalone_cache.get(&key) {
             return *hit;
         }
-        let profile = CoRunSim::standalone_with(self.soc, pu_idx, kernel, &self.config);
+        let profile = CoRunSim::standalone(self.soc, pu_idx, kernel, &self.config);
         let result = (profile.lines_per_cycle, profile.bw_gbps);
         self.standalone_cache.insert(key, result);
         result

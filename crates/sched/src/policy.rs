@@ -21,7 +21,7 @@ use pccs_core::{PccsModel, SlowdownModel};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
-use pccs_workloads::calibrate::{build_model, CalibrationConfig};
+use pccs_workloads::calibrate::{build_models, CalibrationConfig};
 use std::collections::BTreeMap;
 
 /// Floor for predicted relative speeds, to keep costs finite.
@@ -560,63 +560,36 @@ impl PccsPolicy {
         Self { models }
     }
 
-    /// The policy armed with one model per PU *calibrated against the
-    /// co-run simulator* (the paper's §4.1 offline profiling step): a
-    /// calibrator/pressure sweep per PU, folded into a three-region model
-    /// by `ModelBuilder`. This is the constructor every entry point should
-    /// use — predictions then describe the platform being scheduled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a calibration sweep fails validation — on the bundled SoC
-    /// presets it does not.
-    pub fn calibrated(soc: &SocConfig, cfg: &CalibrationConfig) -> Self {
-        let models = soc
-            .pus
-            .iter()
-            .enumerate()
-            .map(|(pu_idx, _)| {
-                let pressure = pressure_pu_for(soc, pu_idx);
-                let (model, _) = build_model(soc, pu_idx, pressure, cfg).unwrap_or_else(|e| {
-                    panic!("calibration failed for {}/PU{pu_idx}: {e}", soc.name)
-                });
-                let boxed: Box<dyn SlowdownModel> = Box::new(model);
-                boxed
-            })
-            .collect();
-        Self::new(models)
-    }
-
     /// The policy armed with the paper's published Xavier model parameters
-    /// (Table 7), mapped to the SoC's PUs by class. Those parameters
-    /// describe the real Jetson AGX Xavier; against the repository's
-    /// simulator, [`PccsPolicy::calibrated`] is the faithful choice.
+    /// ([`paper_models`]). Those parameters describe the real Jetson AGX
+    /// Xavier; against the repository's simulator, the models that
+    /// [`build_models`] calibrates are the faithful choice.
     pub fn paper_xavier(soc: &SocConfig) -> Self {
-        let models = soc
-            .pus
-            .iter()
-            .map(|pu| {
-                let m: Box<dyn SlowdownModel> = Box::new(match pu.kind {
-                    PuKind::Cpu => PccsModel::xavier_cpu_paper(),
-                    PuKind::Gpu => PccsModel::xavier_gpu_paper(),
-                    PuKind::Dla => PccsModel::xavier_dla_paper(),
-                });
-                m
-            })
-            .collect();
-        Self::new(models)
+        Self::new(boxed_models(&paper_models(soc)))
     }
 }
 
-/// The paper's pressure-PU convention (§4.1.1): external pressure for the
-/// CPU model comes from the GPU; for every other PU, from the CPU.
-fn pressure_pu_for(soc: &SocConfig, target_pu: usize) -> usize {
-    let cpu = soc.pu_index("CPU").expect("SoC has a CPU");
-    if target_pu == cpu {
-        soc.pu_index("GPU").expect("SoC has a GPU")
-    } else {
-        cpu
-    }
+/// One slowdown model per PU from the paper's published Xavier parameters
+/// (Table 7), mapped by PU class — no calibration cost, suitable for
+/// benchmarks.
+pub fn paper_models(soc: &SocConfig) -> Vec<PccsModel> {
+    soc.pus
+        .iter()
+        .map(|pu| match pu.kind {
+            PuKind::Cpu => PccsModel::xavier_cpu_paper(),
+            PuKind::Gpu => PccsModel::xavier_gpu_paper(),
+            PuKind::Dla => PccsModel::xavier_dla_paper(),
+        })
+        .collect()
+}
+
+/// Boxes concrete per-PU models for a [`PccsPolicy`] or an admission
+/// controller.
+pub fn boxed_models(models: &[PccsModel]) -> Vec<Box<dyn SlowdownModel>> {
+    models
+        .iter()
+        .map(|m| Box::new(m.clone()) as Box<dyn SlowdownModel>)
+        .collect()
 }
 
 /// The calibration sweep used when a policy is constructed through
@@ -735,24 +708,35 @@ impl Policy for OraclePolicy {
 
 /// All four bundled policies, in report order: the two oblivious baselines,
 /// then the model-guided policy, then the oracle.
+///
+/// # Panics
+///
+/// Panics if calibrating the PCCS policy's models fails — on the bundled
+/// SoC presets it does not.
 pub fn all_policies(soc: &SocConfig) -> Vec<Box<dyn Policy>> {
-    vec![
-        Box::new(RoundRobin::default()),
-        Box::new(ObliviousGreedy),
-        Box::new(PccsPolicy::calibrated(soc, &default_calibration())),
-        Box::new(OraclePolicy),
-    ]
+    ["round-robin", "greedy", "pccs", "oracle"]
+        .iter()
+        .map(|name| policy_by_name(soc, name).expect("bundled policy"))
+        .collect()
 }
 
 /// A policy by CLI name (`round-robin`/`rr`, `greedy`, `pccs`, `oracle`).
+/// The PCCS policy gets models calibrated by [`build_models`] under
+/// [`default_calibration`].
+///
+/// # Panics
+///
+/// Panics if that calibration fails — on the bundled SoC presets it does
+/// not.
 pub fn policy_by_name(soc: &SocConfig, name: &str) -> Option<Box<dyn Policy>> {
     match name.to_ascii_lowercase().as_str() {
         "round-robin" | "rr" => Some(Box::new(RoundRobin::default())),
         "greedy" | "oblivious" => Some(Box::new(ObliviousGreedy)),
-        "pccs" => Some(Box::new(PccsPolicy::calibrated(
-            soc,
-            &default_calibration(),
-        ))),
+        "pccs" => {
+            let models =
+                build_models(soc, &default_calibration()).unwrap_or_else(|e| panic!("{e}"));
+            Some(Box::new(PccsPolicy::new(boxed_models(&models))))
+        }
         "oracle" => Some(Box::new(OraclePolicy)),
         _ => None,
     }

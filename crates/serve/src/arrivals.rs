@@ -11,6 +11,12 @@ use crate::request::RequestClass;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The most arrivals a generated stream may expect (rate × duration, at
+/// the peak rate for bursty arrivals). It sits far above any bundled
+/// workload (the serving benchmark expects about 31.5k) and keeps a typo
+/// like `--rate 1e12` from allocating gigabytes before the run starts.
+const MAX_EXPECTED_ARRIVALS: f64 = 1.0e6;
+
 /// One arrival: a request class drawn at a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrivalEvent {
@@ -80,7 +86,8 @@ impl ArrivalProcess {
     ///
     /// Returns [`ServeError::BadConfig`] for a rate, burst factor or
     /// sojourn that is not finite and positive (or a burst factor not above
-    /// 1), and
+    /// 1), or when the stream would expect more than a million arrivals,
+    /// and
     /// [`ServeError::UnknownTraceClass`] when a trace event names a class
     /// not in `classes`.
     pub fn generate(
@@ -93,6 +100,7 @@ impl ArrivalProcess {
         match self {
             Self::Poisson { rate_per_mcycle } => {
                 let lambda = per_cycle_rate(*rate_per_mcycle)?;
+                check_expected(lambda, duration)?;
                 let mut events = Vec::new();
                 let mut t = exp_sample(&mut rng, lambda);
                 while (t as u64) < duration {
@@ -120,6 +128,7 @@ impl ArrivalProcess {
                 }
                 finite_positive("calm sojourn", *calm_cycles)?;
                 finite_positive("burst sojourn", *burst_cycles)?;
+                check_expected(base * burst_factor, duration)?;
                 let mut events = Vec::new();
                 let mut t = 0.0_f64;
                 let mut bursting = false;
@@ -209,6 +218,21 @@ pub fn parse_trace(text: &str) -> Result<ArrivalProcess, ServeError> {
 fn per_cycle_rate(rate_per_mcycle: f64) -> Result<f64, ServeError> {
     finite_positive("arrival rate", rate_per_mcycle)?;
     Ok(rate_per_mcycle / 1.0e6)
+}
+
+/// Rejects a stream whose peak per-cycle `rate` would expect more than
+/// [`MAX_EXPECTED_ARRIVALS`] arrivals over `duration` cycles.
+fn check_expected(rate: f64, duration: u64) -> Result<(), ServeError> {
+    let expected = rate * duration as f64;
+    if expected > MAX_EXPECTED_ARRIVALS {
+        return Err(ServeError::BadConfig {
+            detail: format!(
+                "{expected:.3e} expected arrivals over {duration} cycles exceed the cap of \
+                 {MAX_EXPECTED_ARRIVALS:.0}; lower the rate or the duration"
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Checks that the parameter `what` is finite and positive.
@@ -364,5 +388,29 @@ mod tests {
             p.generate(&classes, 1_000, 0),
             Err(ServeError::BadConfig { .. })
         ));
+    }
+
+    #[test]
+    fn streams_past_the_arrival_cap_are_typed_errors() {
+        let classes = contended_classes();
+        for p in [
+            ArrivalProcess::Poisson {
+                rate_per_mcycle: 1e12,
+            },
+            ArrivalProcess::bursty(1e12),
+        ] {
+            let err = p.generate(&classes, 1_000_000, 0).unwrap_err();
+            assert!(matches!(err, ServeError::BadConfig { .. }), "{err}");
+        }
+        // The bursty peak counts: 0.3M expected calm arrivals, 1.2M at the
+        // 4x burst rate.
+        assert!(ArrivalProcess::bursty(0.3)
+            .generate(&classes, 1_000_000_000_000, 0)
+            .is_err());
+        assert!(ArrivalProcess::Poisson {
+            rate_per_mcycle: 0.3
+        }
+        .generate(&classes, 1_000_000, 0)
+        .is_ok());
     }
 }

@@ -28,14 +28,13 @@ use crate::recalibrate::DriftMonitor;
 use crate::report::{RequestOutcome, ServeReport};
 use crate::request::RequestClass;
 use crate::slo::{miss_rate_pct, SloAccountant};
-use pccs_core::{PccsModel, SlowdownModel};
+use pccs_core::SlowdownModel;
 use pccs_sched::engine::{advance, any_free, build_input, InFlight, SimProbe, MIN_RATE};
 use pccs_sched::policy::Policy;
 use pccs_soc::corun::CoRunConfig;
 use pccs_soc::soc::SocConfig;
 use pccs_telemetry::audit::AuditRecord;
 use pccs_telemetry::Profiler;
-use pccs_workloads::calibrate::{build_model, CalibrationConfig};
 
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
@@ -178,66 +177,6 @@ struct BundleTag {
     /// Admission-model predicted contended service time at placement,
     /// compared with observed residence by the drift monitor.
     predicted_service: f64,
-}
-
-/// One slowdown model per PU, calibrated against the co-run simulator
-/// (the paper's §4.1 profiling step applied to serving).
-///
-/// # Errors
-///
-/// Returns [`ServeError::Calibration`] when a sweep fails validation — on
-/// the bundled SoC presets it does not.
-///
-/// # Panics
-///
-/// Panics if `soc` lacks a CPU or GPU (every bundled preset has both).
-pub fn calibrated_models(
-    soc: &SocConfig,
-    cfg: &CalibrationConfig,
-) -> Result<Vec<PccsModel>, ServeError> {
-    let cpu = soc.pu_index("CPU").expect("SoC has a CPU");
-    let gpu = soc.pu_index("GPU").expect("SoC has a GPU");
-    soc.pus
-        .iter()
-        .enumerate()
-        .map(|(pu_idx, _)| {
-            // The paper's pressure-PU convention: the CPU model is
-            // calibrated under GPU pressure, every other PU under CPU.
-            let pressure = if pu_idx == cpu { gpu } else { cpu };
-            build_model(soc, pu_idx, pressure, cfg)
-                .map(|(model, _)| model)
-                .map_err(|e| ServeError::Calibration {
-                    detail: format!("{}/PU{pu_idx}: {e}", soc.name),
-                })
-        })
-        .collect()
-}
-
-/// One slowdown model per PU from the paper's published Xavier parameters
-/// (Table 7), mapped by PU class — no calibration cost, suitable for
-/// benchmarks.
-pub fn paper_models(soc: &SocConfig) -> Vec<PccsModel> {
-    use pccs_soc::pu::PuKind;
-    soc.pus
-        .iter()
-        .map(|pu| match pu.kind {
-            PuKind::Cpu => PccsModel::xavier_cpu_paper(),
-            PuKind::Gpu => PccsModel::xavier_gpu_paper(),
-            PuKind::Dla => PccsModel::xavier_dla_paper(),
-        })
-        .collect()
-}
-
-/// Boxes concrete models for the admission controller or a
-/// [`pccs_sched::policy::PccsPolicy`].
-pub fn boxed_models(models: &[PccsModel]) -> Vec<Box<dyn SlowdownModel>> {
-    models
-        .iter()
-        .map(|m| {
-            let b: Box<dyn SlowdownModel> = Box::new(m.clone());
-            b
-        })
-        .collect()
 }
 
 /// The bandwidth pressure residents on *other* PUs put on `pu_idx`.
@@ -536,7 +475,7 @@ fn bundle_service_prediction(
 mod tests {
     use super::*;
     use crate::request::contended_classes;
-    use pccs_sched::policy::ObliviousGreedy;
+    use pccs_sched::policy::{boxed_models, paper_models, ObliviousGreedy};
 
     fn quick_cfg(rate: f64, duration: u64) -> ServeConfig {
         ServeConfig {

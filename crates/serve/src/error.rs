@@ -33,11 +33,6 @@ pub enum ServeError {
         /// What was wrong.
         detail: String,
     },
-    /// Offline model calibration against the SoC failed.
-    Calibration {
-        /// The underlying build error, rendered.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -54,7 +49,6 @@ impl fmt::Display for ServeError {
             ),
             Self::BadTrace { line, detail } => write!(f, "trace line {line}: {detail}"),
             Self::BadConfig { detail } => write!(f, "invalid serving config: {detail}"),
-            Self::Calibration { detail } => write!(f, "model calibration failed: {detail}"),
         }
     }
 }

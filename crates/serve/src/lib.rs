@@ -58,8 +58,9 @@ pub mod slo;
 pub use admission::{AdmissionController, AdmissionPolicy};
 pub use arrivals::ArrivalProcess;
 pub use batch::BatchConfig;
-pub use engine::{boxed_models, calibrated_models, paper_models, run_serve, ServeConfig};
+pub use engine::{run_serve, ServeConfig};
 pub use error::ServeError;
+pub use pccs_sched::policy::{boxed_models, paper_models};
 pub use recalibrate::DriftMonitor;
 pub use report::{ClassSlo, RequestOutcome, ServeReport};
 pub use request::RequestClass;

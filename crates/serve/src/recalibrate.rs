@@ -16,6 +16,8 @@
 //! process-global ledger and folds it into the sliding window in one
 //! step. What the offline scorecards slice after a run is exactly the
 //! stream the monitor reacted to online.
+//!
+//! [`AuditRecord`]: pccs_telemetry::audit::AuditRecord
 
 use pccs_telemetry::audit::{self, AuditRecord};
 use pccs_telemetry::metrics;

@@ -5,6 +5,8 @@
 //! weight and stamps each draw with a unique id and an arrival cycle,
 //! producing an ordinary `pccs-sched` [`Job`] the placement policies
 //! already understand.
+//!
+//! [`Job`]: pccs_sched::Job
 
 use pccs_sched::job::Job;
 use pccs_soc::pu::PuKind;

@@ -506,36 +506,9 @@ impl CoRunSim {
     }
 
     /// Profiles `kernel` standalone on PU `pu_idx` of `soc` — the paper's
-    /// standalone bandwidth-demand measurement.
+    /// standalone bandwidth-demand measurement — under `config` (its
+    /// horizon, seeded repeats and MC policy).
     pub fn standalone(
-        soc: &SocConfig,
-        pu_idx: usize,
-        kernel: &KernelDesc,
-        horizon: u64,
-    ) -> StandaloneProfile {
-        Self::standalone_averaged(soc, pu_idx, kernel, horizon, 1)
-    }
-
-    /// Standalone profiling averaged over `repeats` differently seeded runs.
-    pub fn standalone_averaged(
-        soc: &SocConfig,
-        pu_idx: usize,
-        kernel: &KernelDesc,
-        horizon: u64,
-        repeats: u32,
-    ) -> StandaloneProfile {
-        Self::standalone_with(
-            soc,
-            pu_idx,
-            kernel,
-            &CoRunConfig::default()
-                .with_horizon(horizon)
-                .with_repeats(repeats),
-        )
-    }
-
-    /// Standalone profiling under an explicit measurement configuration.
-    pub fn standalone_with(
         soc: &SocConfig,
         pu_idx: usize,
         kernel: &KernelDesc,
@@ -567,7 +540,12 @@ mod tests {
         let soc = xavier();
         let gpu = soc.pu_index("GPU").unwrap();
         let kernel = KernelDesc::memory_streaming("stream", 0.5);
-        let p = CoRunSim::standalone(&soc, gpu, &kernel, 30_000);
+        let p = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(30_000),
+        );
         assert!(p.bw_gbps > 20.0, "got {}", p.bw_gbps);
         assert!(p.lines_per_cycle > 0.0);
     }
@@ -578,7 +556,12 @@ mod tests {
         let gpu = soc.pu_index("GPU").unwrap();
         let cpu = soc.pu_index("CPU").unwrap();
         let kernel = KernelDesc::memory_streaming("stream", 0.5);
-        let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 40_000);
+        let standalone = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(40_000),
+        );
 
         let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(40_000));
         sim.place(Placement::kernel(gpu, kernel));
@@ -595,7 +578,12 @@ mod tests {
         let gpu = soc.pu_index("GPU").unwrap();
         let cpu = soc.pu_index("CPU").unwrap();
         let kernel = KernelDesc::compute_bound("hot", 200.0);
-        let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 40_000);
+        let standalone = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(40_000),
+        );
 
         let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(40_000));
         sim.place(Placement::kernel(gpu, kernel));
@@ -611,7 +599,12 @@ mod tests {
         let gpu = soc.pu_index("GPU").unwrap();
         let cpu = soc.pu_index("CPU").unwrap();
         let kernel = KernelDesc::memory_streaming("stream", 1.0);
-        let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 30_000);
+        let standalone = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(30_000),
+        );
         let rs_at = |gbps: f64| {
             let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(30_000));
             sim.place(Placement::kernel(gpu, kernel.clone()));
@@ -662,8 +655,13 @@ mod tests {
         let gpu = soc.pu_index("GPU").unwrap();
         let kernel = KernelDesc::memory_streaming("stream", 0.5);
         let cfg = CoRunConfig::probe();
-        let a = CoRunSim::standalone_with(&soc, gpu, &kernel, &cfg);
-        let b = CoRunSim::standalone(&soc, gpu, &kernel, cfg.horizon);
+        let a = CoRunSim::standalone(&soc, gpu, &kernel, &cfg);
+        let b = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(cfg.horizon),
+        );
         assert!((a.lines_per_cycle - b.lines_per_cycle).abs() < 1e-12);
         assert_eq!(a.horizon, cfg.horizon);
     }
@@ -703,7 +701,12 @@ mod tests {
         let soc = xavier();
         let gpu = soc.pu_index("GPU").unwrap();
         let kernel = KernelDesc::memory_streaming("k", 1.0);
-        let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 5_000);
+        let standalone = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(5_000),
+        );
         let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(5_000));
         sim.external_pressure(0, 10.0);
         let out = sim.execute();
@@ -733,7 +736,12 @@ mod tests {
         let gpu = soc.pu_index("GPU").unwrap();
         let cpu = soc.pu_index("CPU").unwrap();
         let kernel = KernelDesc::memory_streaming("stream", 0.5);
-        let standalone = CoRunSim::standalone(&soc, gpu, &kernel, 20_000);
+        let standalone = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(20_000),
+        );
         let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(20_000));
         sim.place(Placement::kernel(gpu, kernel));
         sim.external_pressure(cpu, 60.0);

@@ -14,6 +14,8 @@
 //! compute rate — low-intensity kernels are limited by the memory system,
 //! high-intensity kernels by compute — which mirrors how the paper's
 //! roofline calibrators behave on silicon.
+//!
+//! [`PuExecutor`]: crate::executor::PuExecutor
 
 use crate::kernel::KernelDesc;
 use crate::pu::PuConfig;

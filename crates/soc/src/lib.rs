@@ -33,11 +33,12 @@
 //! let gpu = soc.pu_index("GPU").unwrap();
 //!
 //! // Standalone profile.
-//! let profile = CoRunSim::standalone(&soc, gpu, &kernel, 60_000);
+//! let config = CoRunConfig::default().with_horizon(60_000);
+//! let profile = CoRunSim::standalone(&soc, gpu, &kernel, &config);
 //! assert!(profile.bw_gbps > 0.0);
 //!
 //! // Same kernel under 40 GB/s of external pressure from the CPU complex.
-//! let mut sim = CoRunSim::with_config(&soc, CoRunConfig::default().with_horizon(60_000));
+//! let mut sim = CoRunSim::with_config(&soc, config);
 //! sim.place(Placement::kernel(gpu, kernel));
 //! sim.external_pressure(soc.pu_index("CPU").unwrap(), 40.0);
 //! let outcome = sim.execute();

@@ -10,6 +10,8 @@
 //! set the pressure-generating PU would present to the memory controller:
 //! `pu.streams` rate-limited streaming sources, each demanding an equal
 //! share, with the PU's per-stream window.
+//!
+//! [`pressure_streams`]: crate::pressure::pressure_streams
 
 use crate::pu::PuConfig;
 use pccs_dram::request::SourceId;

@@ -24,6 +24,12 @@
 //! [`record`] is one relaxed atomic load — and switched on by the audit
 //! consumers (`pccs audit`, `repro --audit-out`, the accuracy harness),
 //! which is also how the accuracy report measures the ledger's overhead.
+//!
+//! [`AuditRecord`]: crate::audit::AuditRecord
+//! [`scorecard`]: crate::audit::scorecard
+//! [`jsonl`]: crate::audit::jsonl
+//! [`render_scorecard`]: crate::audit::render_scorecard
+//! [`record`]: crate::audit::record
 
 use crate::export;
 use serde::{Deserialize, Serialize};

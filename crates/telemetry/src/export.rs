@@ -121,81 +121,6 @@ pub fn csv_timeseries(report: &TelemetryReport) -> String {
     out
 }
 
-/// Quotes a CSV field per RFC 4180 when it contains a comma, quote, or
-/// newline; passes every other string through untouched. All CSV writers
-/// in the workspace route string-typed fields through this, so labels
-/// like `corun(cpu,gpu)` survive a round trip through a CSV parser.
-pub fn csv_field(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        let mut out = String::with_capacity(field.len() + 2);
-        out.push('"');
-        for c in field.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
-        }
-        out.push('"');
-        out
-    } else {
-        field.to_owned()
-    }
-}
-
-/// Splits one CSV line produced by this module back into fields,
-/// reversing [`csv_field`]'s quoting. Only used by round-trip tests and
-/// the trace tooling; not a general CSV parser (no embedded newlines
-/// across physical lines).
-pub fn csv_split(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut current = String::new();
-    let mut chars = line.chars().peekable();
-    let mut quoted = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if quoted => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    current.push('"');
-                } else {
-                    quoted = false;
-                }
-            }
-            '"' if current.is_empty() => quoted = true,
-            ',' if !quoted => fields.push(std::mem::take(&mut current)),
-            _ => current.push(c),
-        }
-    }
-    fields.push(current);
-    fields
-}
-
-/// Renders the per-source summary as CSV (same columns as
-/// [`render_summary`], machine-readable, labels escaped via
-/// [`csv_field`]).
-pub fn csv_summary(rows: &[SummaryRow]) -> String {
-    let mut out = String::new();
-    out.push_str("source,served,bytes,bw_gbps,avg_latency,p50,p95,p99,max,enqueued,rejected\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.2},{:.1},{},{},{},{},{},{}",
-            csv_field(&r.label),
-            r.served,
-            r.bytes,
-            r.bw_gbps,
-            r.avg_latency,
-            r.p50,
-            r.p95,
-            r.p99,
-            r.max_latency,
-            r.enqueued,
-            r.rejected
-        );
-    }
-    out
-}
-
 /// One row of the per-source summary table. Built by the caller from
 /// simulator stats (this crate does not know the simulator types).
 #[derive(Debug, Clone, Default)]
@@ -380,40 +305,6 @@ mod tests {
             total += total_bytes;
         }
         assert_eq!(total, report.total_bytes());
-    }
-
-    #[test]
-    fn csv_fields_escape_and_round_trip() {
-        let nasty = [
-            "plain",
-            "with,comma",
-            "with\"quote",
-            "both,\"of,them\"",
-            "line\nbreak",
-            "",
-        ];
-        for label in nasty {
-            let row = SummaryRow {
-                label: label.to_owned(),
-                served: 1,
-                bytes: 64,
-                ..SummaryRow::default()
-            };
-            let csv = csv_summary(&[row]);
-            let data_line = csv.lines().nth(1).unwrap_or_default();
-            // An escaped newline keeps the field on one logical row
-            // spanning two physical lines; rejoin for the check.
-            let logical = if label.contains('\n') {
-                let mut lines = csv.lines().skip(1);
-                format!("{}\n{}", lines.next().unwrap(), lines.next().unwrap())
-            } else {
-                data_line.to_owned()
-            };
-            let fields = csv_split(&logical);
-            assert_eq!(fields[0], label, "label {label:?} must round-trip");
-            assert_eq!(fields[1], "1");
-            assert_eq!(fields.len(), 11);
-        }
     }
 
     #[test]

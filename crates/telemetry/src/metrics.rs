@@ -13,6 +13,9 @@
 //! grows ([`Counter::add`]); a *gauge* keeps the maximum observed value
 //! ([`Gauge::observe`]). Both share one namespace — a name's semantics are
 //! fixed by its writers and documented in the name table.
+//!
+//! [`Counter::add`]: crate::metrics::Counter::add
+//! [`Gauge::observe`]: crate::metrics::Gauge::observe
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,6 +15,10 @@
 //! monotonic timestamps per lane) and reports nesting depth and counter
 //! track counts, so both the golden test and `pccs trace-check` share one
 //! verdict.
+//!
+//! [`trace_json`]: crate::perfetto::trace_json
+//! [`CounterSample`]: crate::perfetto::CounterSample
+//! [`check_trace`]: crate::perfetto::check_trace
 
 use crate::profiler::ProfSpan;
 use serde::{Number, Value};

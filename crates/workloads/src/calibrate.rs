@@ -12,7 +12,7 @@
 //! workspace exercise it end to end.
 
 use pccs_core::{CalibrationData, ModelBuildError, ModelBuilder, PccsModel};
-use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
+use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement, StandaloneProfile};
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::soc::SocConfig;
 use serde::{Deserialize, Serialize};
@@ -82,15 +82,23 @@ impl CalibrationConfig {
         // dropping phase spans only a few of the coarser cells (the DLA).
         (1..=15).map(|i| peak / 15.0 * i as f64).collect()
     }
+}
 
-    fn resolve_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        }
+/// The paper's pressure-PU convention (§4.1.1): "For the CPU model, we
+/// create the external pressure using the GPU; for the GPU and DLA models,
+/// we create the external pressure using the CPU". Every model this
+/// workspace constructs, and every co-run that checks one, uses this PU.
+///
+/// # Errors
+///
+/// Returns the name of the PU the convention needs but `soc` lacks: its
+/// CPU, or for a CPU target its GPU.
+pub fn pressure_pu(soc: &SocConfig, target_pu: usize) -> Result<usize, &'static str> {
+    let cpu = soc.pu_index("CPU").ok_or("CPU")?;
+    if target_pu == cpu {
+        soc.pu_index("GPU").ok_or("GPU")
+    } else {
+        Ok(cpu)
     }
 }
 
@@ -148,16 +156,18 @@ pub fn sweep(
     span.counter("external_levels", externals.len() as f64);
 
     // Standalone profiles, in parallel over demand levels.
-    let profiles: Vec<(KernelDesc, pccs_soc::corun::StandaloneProfile)> =
-        parallel_map(cfg.resolve_threads(), &demands, |&d| {
+    let config = CoRunConfig::default()
+        .with_horizon(cfg.horizon)
+        .with_repeats(cfg.repeats);
+    let profiles: Vec<(KernelDesc, StandaloneProfile)> =
+        parallel_map(cfg.threads, &demands, |_, &d| {
             let kernel = calibrator_kernel(soc, target_pu, d);
-            let profile =
-                CoRunSim::standalone_averaged(soc, target_pu, &kernel, cfg.horizon, cfg.repeats);
+            let profile = CoRunSim::standalone(soc, target_pu, &kernel, &config);
             (kernel, profile)
         });
 
     // Keep only strictly-increasing achieved bandwidths.
-    let mut kept: Vec<(KernelDesc, pccs_soc::corun::StandaloneProfile)> = Vec::new();
+    let mut kept: Vec<(KernelDesc, StandaloneProfile)> = Vec::new();
     for (kernel, profile) in profiles {
         let ok = kept
             .last()
@@ -171,12 +181,9 @@ pub fn sweep(
     let cells: Vec<(usize, usize)> = (0..kept.len())
         .flat_map(|i| (0..externals.len()).map(move |j| (i, j)))
         .collect();
-    let rs_cells: Vec<f64> = parallel_map(cfg.resolve_threads(), &cells, |&(i, j)| {
+    let rs_cells: Vec<f64> = parallel_map(cfg.threads, &cells, |_, &(i, j)| {
         let (kernel, profile) = &kept[i];
-        let config = CoRunConfig::default()
-            .with_horizon(cfg.horizon)
-            .with_repeats(cfg.repeats);
-        let mut sim = CoRunSim::with_config(soc, config);
+        let mut sim = CoRunSim::with_config(soc, config.clone());
         sim.place(Placement::kernel(target_pu, kernel.clone()));
         sim.external_pressure(pressure_pu, externals[j]);
         let out = sim.execute();
@@ -211,28 +218,62 @@ pub fn build_model(
     Ok((model, data))
 }
 
-/// Maps `f` over `items` on up to `threads` scoped worker threads,
-/// preserving order. `threads = 0` is treated as 1. Workers claim the next
-/// unevaluated item from a shared cursor, so cheap and expensive items
-/// spread evenly however they are laid out. Exposed because the experiment
-/// harness parallelizes its measurement sweeps with it too.
+/// One calibrated model per PU of `soc`, in PU order: each PU swept under
+/// pressure from its [`pressure_pu`] and folded into a three-region model
+/// (the paper's §4.1 offline profiling step). Scheduling and serving arm
+/// their PCCS policy and admission control with this set.
+///
+/// # Errors
+///
+/// Names the SoC and PU when the pressure PU is missing or a sweep fails
+/// validation — on the bundled SoC presets neither happens.
+pub fn build_models(soc: &SocConfig, cfg: &CalibrationConfig) -> Result<Vec<PccsModel>, String> {
+    (0..soc.pus.len())
+        .map(|pu_idx| {
+            let pressure = pressure_pu(soc, pu_idx)
+                .map_err(|missing| format!("{} has no {missing} to apply pressure", soc.name))?;
+            build_model(soc, pu_idx, pressure, cfg)
+                .map(|(model, _)| model)
+                .map_err(|e| format!("calibrating {}/PU{pu_idx} failed: {e}", soc.name))
+        })
+        .collect()
+}
+
+/// The worker count a `jobs`/`threads` setting asks for: the setting
+/// itself, or every available core for `0` (one if that cannot be read).
+pub fn worker_count(requested: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        thread::available_parallelism().map_or(1, |n| n.get())
+    }
+}
+
+/// Maps `f` over `items` on up to `threads` scoped worker threads
+/// (resolved by [`worker_count`], so `0` means all cores), preserving
+/// order. Workers claim the next unevaluated item from a shared cursor, so
+/// cheap and expensive items spread evenly however they are laid out. `f`
+/// also receives the index of the worker running it (`0` when the map runs
+/// serially on the calling thread). The calibration sweeps and the
+/// experiment harness's sweep runner both run on this one pool.
 pub fn parallel_map<T: Sync, R: Send>(
     threads: usize,
     items: &[T],
-    f: impl Fn(&T) -> R + Sync,
+    f: impl Fn(usize, &T) -> R + Sync,
 ) -> Vec<R> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
+    let threads = worker_count(threads).min(items.len());
+    if threads <= 1 {
+        return items.iter().map(|item| f(0, item)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
+        for worker in 0..threads {
+            let (cursor, slots, f) = (&cursor, &slots, &f);
+            scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                let out = f(item);
+                let out = f(worker, item);
                 *slots[i].lock().expect("result slot") = Some(out);
             });
         }
@@ -266,9 +307,30 @@ mod tests {
     }
 
     #[test]
+    fn pressure_pu_convention_matches_paper() {
+        let soc = SocConfig::xavier();
+        let cpu = soc.pu_index("CPU").unwrap();
+        let gpu = soc.pu_index("GPU").unwrap();
+        let dla = soc.pu_index("DLA").unwrap();
+        assert_eq!(pressure_pu(&soc, cpu), Ok(gpu));
+        assert_eq!(pressure_pu(&soc, gpu), Ok(cpu));
+        assert_eq!(pressure_pu(&soc, dla), Ok(cpu));
+        let mut no_gpu = soc.clone();
+        no_gpu.pus.retain(|pu| pu.name != "GPU");
+        let cpu = no_gpu.pu_index("CPU").unwrap();
+        assert_eq!(pressure_pu(&no_gpu, cpu), Err("GPU"));
+    }
+
+    #[test]
+    fn zero_workers_means_all_cores() {
+        assert!(worker_count(0) >= 1);
+        assert_eq!(worker_count(3), 3);
+    }
+
+    #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..37).collect();
-        let doubled = parallel_map(4, &items, |&x| x * 2);
+        let doubled = parallel_map(4, &items, |_, &x| x * 2);
         assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -277,7 +339,8 @@ mod tests {
         let items: Vec<usize> = (0..9).collect();
         for threads in [2, 9, 16] {
             let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
-            let out = parallel_map(threads, &items, |&i| {
+            let out = parallel_map(threads, &items, |worker, &i| {
+                assert!(worker < threads.min(items.len()), "worker {worker}");
                 calls[i].fetch_add(1, Ordering::Relaxed);
                 i * 10
             });
@@ -295,9 +358,13 @@ mod tests {
     #[test]
     fn parallel_map_single_thread_fallback() {
         let items = [1, 2, 3];
-        assert_eq!(parallel_map(1, &items, |&x| x + 1), vec![2, 3, 4]);
+        let serial = parallel_map(1, &items, |worker, &x| {
+            assert_eq!(worker, 0, "a serial map runs on worker 0");
+            x + 1
+        });
+        assert_eq!(serial, vec![2, 3, 4]);
         let empty: [i32; 0] = [];
-        assert!(parallel_map(4, &empty, |&x| x).is_empty());
+        assert!(parallel_map(4, &empty, |_, &x| x).is_empty());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! expose a network as a [`PhasedWorkload`] whose phases are the layers
 //! (weighted by their estimated execution-time share), connecting the DLA
 //! experiments to the multi-phase machinery of Section 3.2.
+//!
+//! [`PhasedWorkload`]: pccs_core::phased::PhasedWorkload
 
 use pccs_core::PhasedWorkload;
 use pccs_soc::kernel::KernelDesc;

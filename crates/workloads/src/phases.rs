@@ -12,6 +12,8 @@
 //! phase's running mean by more than `threshold`. Simplicity keeps it
 //! deterministic and easy to reason about in tests; fancier detectors plug
 //! in at the same interface.
+//!
+//! [`PhasedWorkload`]: pccs_core::phased::PhasedWorkload
 
 use pccs_core::PhasedWorkload;
 use serde::{Deserialize, Serialize};

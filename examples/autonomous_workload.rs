@@ -43,7 +43,14 @@ fn main() {
     let horizon = 30_000;
     let profiles: Vec<_> = modules
         .iter()
-        .map(|(pu, _, k)| CoRunSim::standalone_averaged(&soc, *pu, k, horizon, 2))
+        .map(|(pu, _, k)| {
+            CoRunSim::standalone(
+                &soc,
+                *pu,
+                k,
+                &CoRunConfig::default().with_horizon(horizon).with_repeats(2),
+            )
+        })
         .collect();
 
     // PCCS models per PU (pressure per the paper's convention).

@@ -7,7 +7,7 @@
 //! ```
 
 use pccs_core::SlowdownModel;
-use pccs_soc::corun::CoRunSim;
+use pccs_soc::corun::{CoRunConfig, CoRunSim};
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_workloads::calibrate::{build_model, CalibrationConfig};
@@ -52,7 +52,12 @@ fn main() {
         RodiniaBenchmark::Bfs,
     ] {
         let kernel = bench.kernel(PuKind::Gpu);
-        let profile = CoRunSim::standalone(&soc, gpu, &kernel, 30_000);
+        let profile = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(30_000),
+        );
         let rs = |y: f64| model.relative_speed_pct(profile.bw_gbps, y);
         println!(
             "{:<16} {:>7.1} GB/s {:>6.1} {:>6.1} {:>6.1}",

@@ -83,7 +83,7 @@ doc_complete() {
 step fmt    cargo fmt --all -- --check
 step clippy cargo clippy --workspace --all-targets -- -D warnings
 step build  cargo build --release --workspace
-step lint   ./target/release/pccs-lint --root .
+step lint   ./target/release/pccs lint --root .
 # Workspace-rule smoke: the full two-phase analysis via the CLI (symbol
 # index + cross-file rules), restricted to workspace scope so a clean
 # tree proves the dead-pub/drift/cycle/expiry/stale-waiver rules pass.
@@ -120,7 +120,10 @@ step accuracy-baseline accuracy_baseline
 # attached must replay with zero JEDEC timing violations.
 step conformance-smoke ./target/release/pccs corun --soc xavier --pu GPU \
   --bench streamcluster --quick --conformance
-step doc    cargo doc --no-deps --workspace
+# A broken intra-doc link is an error, not a warning: a rename or deletion
+# must carry its rustdoc references along.
+step doc    env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+  cargo doc --no-deps --workspace
 step doc-complete doc_complete
 step test   cargo test --release --workspace
 

@@ -45,7 +45,12 @@ fn pccs_beats_gables_on_unseen_benchmarks() {
     let mut n = 0.0;
     for bench in suite {
         let kernel = bench.kernel(PuKind::Gpu);
-        let standalone = CoRunSim::standalone_averaged(&soc, gpu, &kernel, HORIZON, 2);
+        let standalone = CoRunSim::standalone(
+            &soc,
+            gpu,
+            &kernel,
+            &CoRunConfig::default().with_horizon(HORIZON).with_repeats(2),
+        );
         for &y in &pressures {
             let mut sim = CoRunSim::with_config(
                 &soc,
@@ -85,7 +90,12 @@ fn gables_predicts_no_slowdown_below_peak() {
     let cpu = soc.pu_index("CPU").unwrap();
     let gables = GablesModel::new(soc.peak_bw_gbps());
     let kernel = RodiniaBenchmark::Srad.kernel(PuKind::Gpu);
-    let standalone = CoRunSim::standalone_averaged(&soc, gpu, &kernel, HORIZON, 2);
+    let standalone = CoRunSim::standalone(
+        &soc,
+        gpu,
+        &kernel,
+        &CoRunConfig::default().with_horizon(HORIZON).with_repeats(2),
+    );
     let y = 60.0;
     assert!(standalone.bw_gbps + y < soc.peak_bw_gbps());
     assert_eq!(gables.relative_speed_pct(standalone.bw_gbps, y), 100.0);

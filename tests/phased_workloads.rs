@@ -17,7 +17,10 @@ fn cfd_phases_span_demand_classes() {
     let kernels = RodiniaBenchmark::cfd_phase_kernels(PuKind::Gpu);
     let demands: Vec<f64> = kernels
         .iter()
-        .map(|k| CoRunSim::standalone(&soc, gpu, k, HORIZON).bw_gbps)
+        .map(|k| {
+            CoRunSim::standalone(&soc, gpu, k, &CoRunConfig::default().with_horizon(HORIZON))
+                .bw_gbps
+        })
         .collect();
     // K1 is the high-bandwidth phase.
     assert!(demands[0] > demands[1]);
@@ -59,7 +62,12 @@ fn measured_phased_slowdown_sits_below_average_prediction() {
     let mut corun_time = 0.0;
     let mut demands = Vec::new();
     for (k, &w) in kernels.iter().zip(weights.iter()) {
-        let standalone = CoRunSim::standalone_averaged(&soc, gpu, k, HORIZON, 2);
+        let standalone = CoRunSim::standalone(
+            &soc,
+            gpu,
+            k,
+            &CoRunConfig::default().with_horizon(HORIZON).with_repeats(2),
+        );
         demands.push(standalone.bw_gbps);
         let mut sim = CoRunSim::with_config(
             &soc,
