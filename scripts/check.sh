@@ -44,6 +44,19 @@ perfbench_digests() {
   )
 }
 
+# `repro all --quick` stdout must match the committed golden
+# (scripts/repro-quick-golden.txt) once the wall-time lines are dropped.
+# `--jobs 2` is fixed because the header names the worker count. A change
+# that moves a result regenerates the golden and says so.
+repro_quick_filter() {
+  grep -vE '^\[[A-Za-z0-9_-]+ took .*\]$|^total: |^profile cache: '
+}
+repro_golden() {
+  diff scripts/repro-quick-golden.txt <(
+    ./target/release/repro all --quick --jobs 2 | repro_quick_filter
+  )
+}
+
 # The committed model-accuracy baseline (ACCURACY_<host>_<date>.json,
 # DESIGN.md §12) must exist and satisfy the pccs-accuracy/v1 schema.
 accuracy_baseline() {
@@ -109,6 +122,8 @@ step trace-check ./target/release/pccs trace-check --file target/trace-smoke.jso
 # it before the benchmark itself is run.
 step perfbench-test cargo test --offline --manifest-path perfbench/Cargo.toml
 step perfbench-digests perfbench_digests
+# Results oracle: the quick reproduction of every table and figure (~9 s).
+step repro-golden repro_golden
 # Audit smoke: a quick `pccs audit` must replay the validation figures
 # with the prediction-audit ledger on and produce a schema-valid
 # ACCURACY_*.json (the CLI validates before writing, and run_accuracy
