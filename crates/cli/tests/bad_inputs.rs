@@ -192,6 +192,22 @@ fn sched_scale_and_serve_rate_must_be_finite_and_positive() {
 }
 
 #[test]
+fn pccs_policy_reads_jobs_with_or_without_quick() {
+    // The PCCS policy's calibration takes its worker count from `--jobs`
+    // in both fidelities, so a bad count fails before any calibration run.
+    for command in ["sched", "serve"] {
+        assert_rejected(
+            &[command, "--policy", "pccs", "--jobs", "abc"],
+            "--jobs expects an integer, got 'abc'",
+        );
+        assert_rejected(
+            &[command, "--quick", "--policy", "pccs", "--jobs", "abc"],
+            "--jobs expects an integer, got 'abc'",
+        );
+    }
+}
+
+#[test]
 fn serve_rejects_an_arrival_stream_too_large_to_generate() {
     // 10^12 arrivals per Mcycle would expect ~10^12 events over the quick
     // duration; the generator refuses before allocating any of them.

@@ -41,8 +41,6 @@ pub mod model;
 pub mod phased;
 /// Contention-region classification (Equation 1 of the paper).
 pub mod region;
-/// System-level co-run prediction: several kernels resident on distinct.
-pub mod system;
 /// The common interface of co-run slowdown models.
 pub mod traits;
 
@@ -51,5 +49,4 @@ pub use error::ModelBuildError;
 pub use model::PccsModel;
 pub use phased::PhasedWorkload;
 pub use region::Region;
-pub use system::{predict_corun, total_slowdown};
 pub use traits::SlowdownModel;

@@ -140,8 +140,11 @@ impl DramConfig {
         c
     }
 
-    /// Returns a copy with a different channel count, used by
-    /// memory-subsystem design exploration (Section 3.4).
+    /// Returns a copy with a different channel count, used to give each
+    /// controller of a multi-controller [`DramSystem`] its share of the
+    /// channels.
+    ///
+    /// [`DramSystem`]: crate::sim::DramSystem
     pub fn with_channels(&self, channels: usize) -> Self {
         assert!(channels > 0, "at least one channel required");
         let mut c = self.clone();

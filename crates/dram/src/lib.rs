@@ -58,8 +58,6 @@ pub mod sim;
 pub mod stats;
 /// DRAM device timing parameters.
 pub mod timing;
-/// Trace-driven simulation support.
-pub mod trace;
 /// Synthetic traffic generators.
 pub mod traffic;
 

@@ -1,14 +1,13 @@
 //! Pre-silicon SoC design-space exploration with slowdown models
-//! (Sections 3.4 and 4.3 of the PCCS paper).
+//! (Section 4.3 of the PCCS paper): PU frequency selection.
 //!
-//! The exploration loop: for each candidate hardware configuration (PU
-//! frequency, core count, memory subsystem), obtain the kernel's standalone
-//! performance and bandwidth demand (by profiling a reconfigured existing
-//! system — here, the simulator), feed the demand into a
-//! [`SlowdownModel`](pccs_core::SlowdownModel) to predict its co-run
+//! The exploration loop: for each candidate PU frequency, obtain the
+//! kernel's standalone performance and bandwidth demand (by profiling a
+//! reclocked existing system — here, the simulator), feed the demand into
+//! a [`SlowdownModel`](pccs_core::SlowdownModel) to predict its co-run
 //! relative speed under the expected external bandwidth demand, and pick
-//! the cheapest configuration whose *co-run* performance is within the
-//! allowed slowdown of the best achievable. A model that overestimates
+//! the lowest frequency whose *co-run* performance is within the allowed
+//! slowdown of the best achievable. A model that overestimates
 //! co-run performance (Gables under contention) makes the architect buy
 //! frequency that contention then wastes; PCCS's accuracy is what avoids
 //! the over-provisioning (Table 9, Figure 15).
@@ -30,22 +29,11 @@
 //! println!("clock the GPU at {} MHz", sel.chosen_mhz);
 //! ```
 
-/// Area and power proxy models for quantifying over-provisioning.
-pub mod cost;
-/// Core-count and memory-subsystem exploration (the "PU-related.
-pub mod explore;
-/// PU frequency selection under a co-run slowdown constraint (Section 4.3,.
+/// PU frequency selection under a co-run slowdown constraint (Section 4.3,
+/// Table 9, Figure 15).
 pub mod freq;
-/// Memory-subsystem design exploration (Section 3.4, "Memory sub-system.
-pub mod memory;
-/// Power-budgeted frequency selection — the extension the paper's.
-pub mod power_budget;
 
-pub use cost::{area_rel, dynamic_power_rel};
-pub use explore::{explore_core_counts, CoreCountPoint};
 pub use freq::{
     ground_truth_frequency, profile_frequencies, select_frequency, FrequencyPoint,
     FrequencySelection,
 };
-pub use memory::{explore_memory_configs, select_memory_config, MemoryDesignPoint};
-pub use power_budget::{select_under_power_budget, PowerBudgetedChoice};

@@ -145,21 +145,6 @@ impl PuConfig {
         c.freq_mhz = freq_mhz;
         c
     }
-
-    /// Returns a copy with `cores` cores (area exploration, Section 3.4).
-    pub fn with_cores(&self, cores: u32) -> Self {
-        assert!(cores > 0, "at least one core required");
-        let mut c = self.clone();
-        c.cores = cores;
-        // MLP and stream count scale with the core count for CPUs (each core
-        // contributes an issue window); accelerators keep their fixed window.
-        if self.kind == PuKind::Cpu {
-            let per_core_window = self.mlp_window as f64 / self.cores as f64;
-            c.mlp_window = ((per_core_window * cores as f64).round() as usize).max(1);
-            c.streams = cores as usize;
-        }
-        c
-    }
 }
 
 #[cfg(test)]
@@ -186,23 +171,6 @@ mod tests {
     fn gpu_has_larger_window_than_cpu_than_dla() {
         assert!(PuConfig::xavier_gpu().mlp_window > PuConfig::xavier_cpu().mlp_window);
         assert!(PuConfig::xavier_cpu().mlp_window > PuConfig::xavier_dla().mlp_window);
-    }
-
-    #[test]
-    fn with_cores_scales_cpu_window_and_streams() {
-        let cpu = PuConfig::xavier_cpu();
-        let four = cpu.with_cores(4);
-        assert_eq!(four.cores, 4);
-        assert_eq!(four.streams, 4);
-        assert_eq!(four.mlp_window, cpu.mlp_window / 2);
-        assert!(four.mlp_window >= 1);
-    }
-
-    #[test]
-    fn with_cores_keeps_accelerator_window() {
-        let dla = PuConfig::xavier_dla();
-        let two = dla.with_cores(2);
-        assert_eq!(two.mlp_window, dla.mlp_window);
     }
 
     #[test]

@@ -55,16 +55,6 @@ proptest! {
     }
 
     #[test]
-    fn cpu_core_scaling_keeps_per_core_window(cores in 1u32..8) {
-        let cpu = PuConfig::xavier_cpu();
-        let scaled = cpu.with_cores(cores);
-        let per_core_before = cpu.mlp_window as f64 / cpu.cores as f64;
-        let per_core_after = scaled.mlp_window as f64 / scaled.cores as f64;
-        prop_assert!((per_core_before - per_core_after).abs() <= 1.0);
-        prop_assert_eq!(scaled.streams, cores as usize);
-    }
-
-    #[test]
     fn source_ranges_partition_for_any_pu_order(swap in any::<bool>()) {
         let mut soc = SocConfig::xavier();
         if swap {

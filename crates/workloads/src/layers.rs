@@ -4,13 +4,9 @@
 //! aggregate bandwidth demand. This module derives those aggregates from
 //! first principles — per-layer multiply–accumulate counts and tensor
 //! footprints (fp16) — for the four networks the paper uses, and can also
-//! expose a network as a [`PhasedWorkload`] whose phases are the layers
-//! (weighted by their estimated execution-time share), connecting the DLA
-//! experiments to the multi-phase machinery of Section 3.2.
-//!
-//! [`PhasedWorkload`]: pccs_core::phased::PhasedWorkload
+//! split a network into its convolutional body and fully connected head,
+//! the coarse phases the scheduler places.
 
-use pccs_core::PhasedWorkload;
 use pccs_soc::kernel::KernelDesc;
 use serde::{Deserialize, Serialize};
 
@@ -443,32 +439,6 @@ impl LayerGraph {
         push("fc", fcs, 0.95, 0.05);
         groups
     }
-
-    /// The network as a phased workload: each layer is a phase whose
-    /// standalone bandwidth demand follows from its intensity on an engine
-    /// retiring `flops_per_mem_cycle`, weighted by its estimated time share
-    /// `max(compute time, memory time)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flops_per_mem_cycle` or `peak_bytes_per_cycle` is not
-    /// positive.
-    pub fn to_phased(&self, flops_per_mem_cycle: f64, peak_bytes_per_cycle: f64) -> PhasedWorkload {
-        assert!(flops_per_mem_cycle > 0.0, "compute rate must be positive");
-        assert!(peak_bytes_per_cycle > 0.0, "memory rate must be positive");
-        let phases: Vec<(f64, f64)> = self
-            .layers
-            .iter()
-            .map(|layer| {
-                let compute_cycles = layer.flops() / flops_per_mem_cycle;
-                let memory_cycles = layer.bytes() / peak_bytes_per_cycle;
-                let time = compute_cycles.max(memory_cycles);
-                let demand_bpc = layer.bytes() / time.max(f64::MIN_POSITIVE);
-                (demand_bpc, time)
-            })
-            .collect();
-        PhasedWorkload::new(self.name.clone(), &phases)
-    }
 }
 
 #[cfg(test)]
@@ -540,15 +510,6 @@ mod tests {
                 graph.name
             );
         }
-    }
-
-    #[test]
-    fn phased_form_has_one_phase_per_layer() {
-        let g = LayerGraph::mnist();
-        let w = g.to_phased(1339.0, 64.0);
-        assert_eq!(w.phases().len(), g.layers.len());
-        let total_weight: f64 = w.phases().iter().map(|p| p.weight).sum();
-        assert!((total_weight - 1.0).abs() < 1e-9);
     }
 
     #[test]

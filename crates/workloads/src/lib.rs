@@ -38,8 +38,6 @@ pub mod dnn;
 pub mod layers;
 /// The eleven three-PU co-run workloads of Table 8.
 pub mod mixes;
-/// Phase detection over bandwidth time series.
-pub mod phases;
 /// Rodinia benchmark traffic proxies.
 pub mod rodinia;
 

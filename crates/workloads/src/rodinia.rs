@@ -9,7 +9,6 @@
 //! different programs with different standalone demands — the paper
 //! likewise measures per-PU demands as model inputs.
 
-use pccs_core::PhasedWorkload;
 use pccs_soc::kernel::KernelDesc;
 use pccs_soc::pu::PuKind;
 use serde::{Deserialize, Serialize};
@@ -193,14 +192,6 @@ impl RodiniaBenchmark {
             make("cfd-k4", 22.0, 0.90),
         ]
     }
-
-    /// CFD as a [`PhasedWorkload`] given the measured per-phase standalone
-    /// demands (GB/s), in phase order.
-    pub fn cfd_phased(demands_gbps: [f64; 4]) -> PhasedWorkload {
-        let w = Self::cfd_phase_weights();
-        let phases: Vec<(f64, f64)> = demands_gbps.into_iter().zip(w).collect();
-        PhasedWorkload::new("cfd", &phases)
-    }
 }
 
 impl fmt::Display for RodiniaBenchmark {
@@ -271,13 +262,6 @@ mod tests {
     fn cfd_phase_weights_sum_to_one() {
         let s: f64 = RodiniaBenchmark::cfd_phase_weights().iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cfd_phased_builds() {
-        let w = RodiniaBenchmark::cfd_phased([110.0, 55.0, 50.0, 60.0]);
-        assert_eq!(w.phases().len(), 4);
-        assert!(w.average_demand_gbps() > 50.0);
     }
 
     #[test]
