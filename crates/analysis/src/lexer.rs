@@ -1,10 +1,9 @@
 //! A hand-rolled Rust lexer, just deep enough for linting.
 //!
-//! The engine needs four things from a source file: the identifier and
+//! The engine needs three things from a source file: the identifier and
 //! punctuation stream with line numbers (comments and literal *contents*
 //! stripped from the token stream, so `"panic!"` inside a string never
-//! trips a rule), the set of lines carrying rustdoc comments (for the
-//! `missing-docs` rule), the `// pccs-lint:` directives (`allow(<rule>)`
+//! trips a rule), the `// pccs-lint:` directives (`allow(<rule>)`
 //! waivers and `publishes(<metric>)` declarations), and — for the
 //! workspace symbol index — the *contents* of string literals, kept in a
 //! side table ([`LexedFile::strings`]) so brace matching over tokens stays
@@ -61,8 +60,6 @@ pub struct LexedFile {
     /// for metric names assembled at runtime (e.g. `format!("{prefix}.x")`)
     /// that the symbol index cannot see as literals.
     pub publishes: BTreeMap<u32, BTreeSet<String>>,
-    /// Lines that carry a rustdoc comment (`///`, `//!`, `/** */`, `/*! */`).
-    pub doc_lines: BTreeSet<u32>,
     /// String-literal contents, keyed by index into [`LexedFile::tokens`].
     /// Covers plain, raw, byte, and raw-byte strings (char and numeric
     /// literals are not recorded). The token itself stays a `"<lit>"`
@@ -70,16 +67,6 @@ pub struct LexedFile {
     pub strings: BTreeMap<usize, String>,
     /// Total source lines (1-based line number of the last character).
     pub lines: u32,
-}
-
-impl LexedFile {
-    /// Whether `rule` is waived for a finding on `line` — a directive on the
-    /// finding's own line or the line directly above counts.
-    pub fn is_waived(&self, rule: &str, line: u32) -> bool {
-        [line, line.saturating_sub(1)]
-            .iter()
-            .any(|l| self.waivers.get(l).is_some_and(|set| set.contains(rule)))
-    }
 }
 
 /// Scans `pccs-lint:` directives (`allow(rule-a, rule-b)` waivers and
@@ -118,7 +105,7 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lexes `src` into tokens, waivers, and doc-comment lines.
+/// Lexes `src` into tokens, directives, and string contents.
 ///
 /// The lexer never fails: malformed input (an unterminated string, say)
 /// degrades to consuming the rest of the file as a literal, which is the
@@ -153,10 +140,8 @@ pub fn lex(src: &str) -> LexedFile {
                     i += 1;
                 }
                 let text: String = chars[start..i].iter().collect();
-                if text.starts_with("///") || text.starts_with("//!") {
-                    out.doc_lines.insert(line);
-                } else {
-                    // Directives in rustdoc text are prose, not directives.
+                // Directives in rustdoc text are prose, not directives.
+                if !text.starts_with("///") && !text.starts_with("//!") {
                     scan_directives(&text, line, &mut out);
                 }
             }
@@ -184,11 +169,7 @@ pub fn lex(src: &str) -> LexedFile {
                         _ => i += 1,
                     }
                 }
-                if is_doc {
-                    for l in start_line..=line {
-                        out.doc_lines.insert(l);
-                    }
-                } else {
+                if !is_doc {
                     let text: String = chars[start..i.min(chars.len())].iter().collect();
                     scan_directives(&text, start_line, &mut out);
                 }
@@ -444,24 +425,12 @@ mod tests {
     }
 
     #[test]
-    fn doc_lines_are_recorded() {
-        let src = "/// docs\npub fn f() {}\n//! inner\n/** block */\nstruct S;\n";
-        let lexed = lex(src);
-        assert!(lexed.doc_lines.contains(&1));
-        assert!(lexed.doc_lines.contains(&3));
-        assert!(lexed.doc_lines.contains(&4));
-        assert!(!lexed.doc_lines.contains(&2));
-    }
-
-    #[test]
     fn waivers_parse_rule_lists() {
-        let src = "x(); // pccs-lint: allow(hot-path-panic, nondeterminism)\n";
+        let src = "x(); // pccs-lint: allow(hot-path-panic, nondeterminism)\ny();\n";
         let lexed = lex(src);
-        assert!(lexed.is_waived("hot-path-panic", 1));
-        assert!(lexed.is_waived("nondeterminism", 1));
-        assert!(lexed.is_waived("hot-path-panic", 2)); // line above counts
-        assert!(!lexed.is_waived("missing-docs", 1));
-        assert!(!lexed.is_waived("hot-path-panic", 3));
+        let rules: Vec<&str> = lexed.waivers[&1].iter().map(String::as_str).collect();
+        assert_eq!(rules, ["hot-path-panic", "nondeterminism"]);
+        assert_eq!(lexed.waivers.len(), 1);
     }
 
     #[test]
@@ -551,13 +520,13 @@ mod tests {
         let src = "/// Suppress with `// pccs-lint: allow(hot-path-panic)`.\n\
                    pub fn documented() {}\n\
                    //! pccs-lint: allow(nondeterminism)\n\
-                   /** pccs-lint: allow(missing-docs) */\n\
+                   /** pccs-lint: allow(raw-stderr) */\n\
                    fn f() {}\n";
         let lexed = lex(src);
         assert!(lexed.waivers.is_empty(), "{:?}", lexed.waivers);
         // The same text in a plain comment still waives.
         let lexed = lex("// pccs-lint: allow(hot-path-panic)\nfn f() {}\n");
-        assert!(lexed.is_waived("hot-path-panic", 1));
+        assert!(lexed.waivers[&1].contains("hot-path-panic"));
     }
 
     #[test]

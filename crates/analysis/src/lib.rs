@@ -1,18 +1,21 @@
 //! Repo-specific static analysis for the PCCS workspace: `pccs lint`.
 //!
-//! The simulators promise two properties no general-purpose tool checks:
-//! hot paths never panic (a co-run sweep must not die mid-batch on a
-//! malformed config) and results are bit-identical across runs and
+//! The simulators promise properties that neither rustc nor clippy
+//! checks: hot paths never panic (a co-run sweep must not die mid-batch
+//! on a malformed config), results are bit-identical across runs and
 //! `--jobs` settings (nondeterministic iteration order or wall-clock reads
-//! silently break profile caching and regression baselines). This crate
-//! enforces those invariants — plus rustdoc coverage and the expiry of
-//! deprecated shims — with a hand-rolled lexer ([`lexer`]) and a
-//! small rule engine ([`rules`]), because the build environment has no
-//! registry access for `syn`-based tooling.
+//! silently break profile caching and regression baselines), and every
+//! published metric is in the one registry. This crate enforces those
+//! invariants with a hand-rolled lexer ([`lexer`]) and a small rule
+//! engine ([`rules`], [`workspace`]), because the build environment has
+//! no registry access for `syn`-based tooling. Rustdoc coverage is left
+//! to rustc: each library crate root carries
+//! `#![warn(missing_docs, unreachable_pub)]`, and the clippy gate denies
+//! warnings.
 //!
-//! Run it via the `pccs lint` CLI subcommand or `scripts/check.sh`. See
-//! [`rules`] for the rule table and the `// pccs-lint: allow(<rule>)`
-//! waiver syntax.
+//! Run it via `pccs lint [--root <path>]` or `scripts/check.sh`; it
+//! always lints the whole tree. See [`rules`] for the rule table and the
+//! `// pccs-lint: allow(<rule>)` waiver syntax.
 //!
 //! # Example
 //!
@@ -26,17 +29,19 @@
 //! assert_eq!(report.findings[0].rule, "hot-path-panic");
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Per-crate module graph and cycle detection.
 pub mod graph;
 /// A hand-rolled Rust lexer, just deep enough for linting.
 pub mod lexer;
-/// Lint findings and machine-readable reports.
+/// Lint findings and the text report.
 pub mod report;
 /// The file-scoped lint rules and the engine that applies them.
 pub mod rules;
 /// The per-file symbol index (phase 1 of the workspace analysis).
 pub mod symbols;
-/// The cross-file workspace rules (phase 2) and diff-aware linting.
+/// The cross-file workspace rules (phase 2).
 pub mod workspace;
 
 pub use report::{Finding, LintReport};
@@ -81,7 +86,7 @@ mod tests {
             .unwrap();
         let report = workspace::analyze_root(root)
             .expect("workspace lints")
-            .run(&workspace::LintOptions::default());
+            .run();
         assert!(
             report.files_scanned > 50,
             "expected a real workspace walk, scanned {}",

@@ -6,13 +6,16 @@
 //! |------|-------|---------------|
 //! | `hot-path-panic` | `dram`/`soc`/`core` non-test code | `.unwrap()`, `.expect(...)`, `panic!` — simulator hot paths must return errors. `assert!`/`debug_assert!`/`unreachable!` are deliberately *not* flagged: contract checks are welcome. |
 //! | `nondeterminism` | sim/experiment crates non-test code | `Instant::now`, `SystemTime`, `HashMap`, `HashSet`, `thread_rng` — results must be byte-identical across runs and `--jobs` settings. |
-//! | `missing-docs` | library crates, non-test code | `pub` items without a rustdoc comment directly above. |
 //! | `raw-stderr` | `dram`/`soc`/`core`/`sched`/`experiments` library code | `println!`/`eprintln!`/`print!`/`eprint!` — library crates must route output through telemetry or return it to the CLI layer, not write to the process streams. |
 //! | `hot-loop-metrics` | `dram`/`soc` library code | `metrics::add`/`observe_max`/`counter`/`gauge` lexically inside a `for`/`while`/`loop` body — each call takes the registry lock, so per-cycle loops must accumulate locally and publish once after the loop (the §9 overhead budget depends on it). |
 //!
 //! Findings are suppressed with a `// pccs-lint: allow(<rule>)` comment on
 //! the finding's line or the line directly above — waivers are visible in
 //! review and greppable, unlike a config file.
+//!
+//! Rustdoc coverage is not a rule here: every library crate root carries
+//! `#![warn(missing_docs, unreachable_pub)]`, and the clippy gate runs
+//! with `-D warnings`.
 //!
 //! # Test code
 //!
@@ -21,7 +24,8 @@
 //! (found by brace-matching over the token stream).
 
 use crate::lexer::{lex, LexedFile, Token, TokenKind};
-use crate::report::{Finding, LintReport, Scope};
+use crate::report::{Finding, LintReport};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Stable names of every rule, in report order: the file-scoped phase-1
 /// rules first, then the workspace-scoped phase-2 rules implemented in
@@ -29,28 +33,13 @@ use crate::report::{Finding, LintReport, Scope};
 pub const RULE_NAMES: &[&str] = &[
     "hot-path-panic",
     "nondeterminism",
-    "missing-docs",
     "raw-stderr",
     "hot-loop-metrics",
     "dead-pub-item",
     "metrics-registry-drift",
     "stale-waiver",
     "dependency-cycle",
-    "deprecated-shim-expiry",
 ];
-
-/// The [`Scope`] of a rule by name. Unknown names are file-scoped (the
-/// conservative default for forward compatibility in report consumers).
-pub fn rule_scope(rule: &str) -> Scope {
-    match rule {
-        "dead-pub-item"
-        | "metrics-registry-drift"
-        | "stale-waiver"
-        | "dependency-cycle"
-        | "deprecated-shim-expiry" => Scope::Workspace,
-        _ => Scope::File,
-    }
-}
 
 /// Crates whose non-test code is a simulator hot path.
 const HOT_PATH_CRATES: &[&str] = &["dram", "soc", "core"];
@@ -121,13 +110,14 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     })
 }
 
-/// Marks every token inside a `#[cfg(test)]`-gated item.
+/// Marks every token inside a `#[cfg(test)]`-gated item. The workspace
+/// pass shares this notion of test code.
 ///
 /// Finds each `# [ cfg ( test ) ]` attribute sequence, then extends the
 /// region over the following item: to the matching `}` if the item is
 /// brace-delimited, or to the terminating `;` otherwise. Comments and
 /// string contents are already stripped, so brace counting is exact.
-fn test_region_mask(tokens: &[Token]) -> Vec<bool> {
+pub(crate) fn test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let text = |k: usize| tokens.get(k).map(|t| t.text.as_str());
     let mut i = 0;
@@ -217,7 +207,6 @@ impl RuleCtx<'_> {
     fn finding(&self, rule: &str, line: u32, message: String) -> Finding {
         Finding {
             rule: rule.to_owned(),
-            scope: Scope::File,
             file: self.rel_path.to_owned(),
             line,
             message,
@@ -433,88 +422,24 @@ fn hot_loop_metrics(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Item keywords that may directly follow `pub` and need rustdoc.
-const PUB_ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "mod", "type", "const", "static", "union", "unsafe", "async",
-];
-
-fn missing_docs(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-    if ctx.class.is_test_path || ctx.class.is_bin {
-        return;
-    }
-    let tokens = &ctx.lexed.tokens;
-    for (k, tok) in tokens.iter().enumerate() {
-        if ctx.in_test[k] || tok.kind != TokenKind::Ident || tok.text != "pub" {
-            continue;
-        }
-        // `pub(crate)`/`pub(super)` visibility is not public API; `pub use`
-        // re-exports inherit the target's docs.
-        if ctx.text(k + 1) == Some("(") || ctx.ident(k + 1) == Some("use") {
-            continue;
-        }
-        let next = match ctx.ident(k + 1) {
-            Some(n) => n,
-            None => continue,
-        };
-        let is_item = PUB_ITEM_KEYWORDS.contains(&next);
-        // A plain identifier followed by `:` is a pub struct field.
-        let is_field = !is_item && ctx.text(k + 2) == Some(":");
-        if !is_item && !is_field {
-            continue;
-        }
-        // Walk back over any attribute groups to the item's first line.
-        let mut j = k;
-        while j >= 2 && tokens[j - 1].text == "]" {
-            let mut depth = 0usize;
-            let mut m = j - 1;
-            loop {
-                match tokens[m].text.as_str() {
-                    "]" => depth += 1,
-                    "[" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                if m == 0 {
-                    break;
-                }
-                m -= 1;
-            }
-            if m >= 1 && tokens[m - 1].text == "#" {
-                j = m - 1;
-            } else {
-                break;
-            }
-        }
-        let item_line = tokens[j].line;
-        let documented = ctx.lexed.doc_lines.contains(&(item_line.saturating_sub(1)))
-            || ctx.lexed.doc_lines.contains(&item_line);
-        if !documented {
-            let what = if is_field { "field" } else { next };
-            out.push(ctx.finding(
-                "missing-docs",
-                tok.line,
-                format!("public {what} without a rustdoc comment"),
-            ));
-        }
-    }
-}
-
-/// Marks every token inside a `#[cfg(test)]`-gated item (public within
-/// the crate so the workspace pass shares the same notion of test code).
-pub(crate) fn test_mask(tokens: &[Token]) -> Vec<bool> {
-    test_region_mask(tokens)
+/// If `rule` is waived for a finding on `line`, returns the line of the
+/// waiving directive: the finding's own line or the line directly above.
+pub(crate) fn waived_at(
+    waivers: &BTreeMap<u32, BTreeSet<String>>,
+    rule: &str,
+    line: u32,
+) -> Option<u32> {
+    [line, line.saturating_sub(1)]
+        .into_iter()
+        .find(|l| waivers.get(l).is_some_and(|set| set.contains(rule)))
 }
 
 /// Raw phase-1 findings for one lexed file, before waivers are applied.
 ///
 /// The single-file entry point [`lint_source`] and the workspace pass in
-/// [`crate::workspace`] both run the same rule set through here; only the
-/// waiver application differs (the workspace pass applies waivers
-/// centrally so it can afterwards detect stale ones).
+/// [`crate::workspace`] both run the same rule set through here and
+/// apply waivers with [`waived_at`]; the workspace pass also records
+/// which directives were used, so it can flag stale ones.
 pub(crate) fn file_findings(
     class: &FileClass,
     rel_path: &str,
@@ -530,7 +455,6 @@ pub(crate) fn file_findings(
     let mut raw = Vec::new();
     hot_path_panic(&ctx, &mut raw);
     nondeterminism(&ctx, &mut raw);
-    missing_docs(&ctx, &mut raw);
     raw_stderr(&ctx, &mut raw);
     hot_loop_metrics(&ctx, &mut raw);
     raw
@@ -546,17 +470,15 @@ pub fn lint_source(rel_path: &str, src: &str) -> LintReport {
         return LintReport::default();
     };
     let lexed = lex(src);
-    let in_test = test_region_mask(&lexed.tokens);
+    let in_test = test_mask(&lexed.tokens);
     let raw = file_findings(&class, rel_path, &lexed, &in_test);
 
     let mut report = LintReport {
-        findings: Vec::new(),
         files_scanned: 1,
-        lines_scanned: lexed.lines as usize,
-        waived: 0,
+        ..LintReport::default()
     };
     for f in raw {
-        if lexed.is_waived(&f.rule, f.line) {
+        if waived_at(&lexed.waivers, &f.rule, f.line).is_some() {
             report.waived += 1;
         } else {
             report.findings.push(f);
@@ -652,29 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_docs_flags_bare_pub_items() {
-        let src = "pub fn naked() {}\n";
-        assert_eq!(
-            rules_of("crates/gables/src/a.rs", src),
-            vec!["missing-docs"]
-        );
-        let src = "/// Documented.\npub fn fine() {}\n";
-        assert!(rules_of("crates/gables/src/a.rs", src).is_empty());
-        // Attributes between docs and item are fine.
-        let src = "/// Documented.\n#[derive(Debug, Clone)]\n#[serde(rename_all = \"kebab-case\")]\npub struct S;\n";
-        assert!(rules_of("crates/gables/src/a.rs", src).is_empty());
-        // pub(crate) and pub use are not public API.
-        let src = "pub(crate) fn internal() {}\npub use crate::other::Thing;\n";
-        assert!(rules_of("crates/gables/src/a.rs", src).is_empty());
-        // Bare pub fields are flagged; documented ones pass.
-        let src =
-            "/// S.\npub struct S {\n    pub x: u32,\n    /// Documented.\n    pub y: u32,\n}\n";
-        let report = lint_source("crates/gables/src/a.rs", src);
-        assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].line, 3);
-    }
-
-    #[test]
     fn raw_stderr_flags_print_macros_in_library_code() {
         let src = "fn f() { println!(\"hi\"); eprintln!(\"oops\"); }\n";
         assert_eq!(
@@ -756,7 +655,10 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.waived, 1);
         // A waiver for a different rule does not suppress.
-        let src = "fn f(x: Option<u32>) -> u32 {\n    // pccs-lint: allow(missing-docs)\n    x.unwrap()\n}\n";
+        let src = "fn f(x: Option<u32>) -> u32 {\n    // pccs-lint: allow(nondeterminism)\n    x.unwrap()\n}\n";
+        assert!(!lint_source("crates/dram/src/a.rs", src).is_clean());
+        // Nor does a waiver two lines above the finding.
+        let src = "fn f(x: Option<u32>) -> u32 {\n    // pccs-lint: allow(hot-path-panic)\n\n    x.unwrap()\n}\n";
         assert!(!lint_source("crates/dram/src/a.rs", src).is_clean());
     }
 

@@ -5,8 +5,7 @@
 //! identifier occurrence counts (for `dead-pub-item` reference counting),
 //! metric-name string literals at `metrics::` publish call sites and the
 //! `REQUIRED_METRICS` registry entries (for `metrics-registry-drift`),
-//! `use` paths (for the module graph in [`crate::graph`]), and
-//! `#[deprecated]` attribute sites (for `deprecated-shim-expiry`).
+//! and `use` paths (for the module graph in [`crate::graph`]).
 //!
 //! The index is name-based, not a resolver: two items sharing a name
 //! alias each other's references. For linting that errs in the safe
@@ -168,8 +167,6 @@ pub struct FileSymbols {
     pub required_metrics: Vec<RequiredMetric>,
     /// `use` declarations.
     pub uses: Vec<UsePath>,
-    /// Lines of `#[deprecated]` attributes outside test regions.
-    pub deprecated_attrs: Vec<u32>,
 }
 
 /// Modifier keywords that may sit between a visibility and the item
@@ -192,7 +189,6 @@ pub fn index_file(lexed: &LexedFile, in_test: &[bool]) -> FileSymbols {
     scan_uses(tokens, in_test, &mut out);
     scan_publishes(lexed, in_test, &mut out);
     scan_required_metrics(lexed, &mut out);
-    scan_deprecated_attrs(tokens, in_test, &mut out);
     out
 }
 
@@ -409,20 +405,6 @@ fn scan_required_metrics(lexed: &LexedFile, out: &mut FileSymbols) {
     }
 }
 
-fn scan_deprecated_attrs(tokens: &[Token], in_test: &[bool], out: &mut FileSymbols) {
-    for k in 2..tokens.len() {
-        // `# [ deprecated` — but not `#[allow(deprecated)]`, where the
-        // token before `deprecated` is `(`.
-        if ident_at(tokens, k) == Some("deprecated")
-            && text_at(tokens, k - 1) == Some("[")
-            && text_at(tokens, k - 2) == Some("#")
-            && !in_test[k]
-        {
-            out.deprecated_attrs.push(tokens[k].line);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,12 +517,5 @@ mod tests {
         assert_eq!(req.len(), 2);
         assert_eq!((req[0].name.as_str(), req[0].line), ("dram.cycles", 2));
         assert_eq!((req[1].name.as_str(), req[1].line), ("sim.runs", 3));
-    }
-
-    #[test]
-    fn deprecated_attributes_are_sited_but_allows_are_not() {
-        let src = "#[deprecated(note = \"gone next release\")]\npub fn shim() {}\n#[allow(deprecated)]\nfn caller() {}\n#[cfg(test)]\nmod tests {\n    #[deprecated]\n    fn old() {}\n}\n";
-        let attrs = index(src).deprecated_attrs;
-        assert_eq!(attrs, vec![1]);
     }
 }

@@ -16,26 +16,15 @@
 //! | `metrics-registry-drift` | a metric name published in `telemetry`/`dram`/`sched`/`serve`/`soc` that is absent from `pccs_bench::REQUIRED_METRICS` — and the reverse, a `REQUIRED_METRICS` entry no workspace code publishes. Names assembled at runtime are declared with a `pccs-lint: publishes(name, …)` comment directive. Skipped when the tree has no `REQUIRED_METRICS` definition. |
 //! | `stale-waiver` | an `allow(rule)` waiver directive that suppresses zero findings, or names an unknown rule. Waivable itself (one level — no second-order staleness check). |
 //! | `dependency-cycle` | a strongly-connected component among a crate's top-level modules; every `use` edge inside the cycle is its own finding site. |
-//! | `deprecated-shim-expiry` | any `#[deprecated]` attribute in library non-test code — the workspace policy keeps shims one release, so a marker that survives into the next PR is expired. |
-//!
-//! # Diff-aware mode
-//!
-//! [`lint_changed`] lexes only the changed files' crates (plus the bench
-//! registry) and filters findings to changed files. Reference counting
-//! against unlexed files falls back to a conservative word-boundary text
-//! search, which can only over-count references — so the diff-aware
-//! report is always a strict subset of the full run.
 //!
 //! [`WorkspaceIndex::analyze`]: crate::workspace::WorkspaceIndex::analyze
 //! [`WorkspaceIndex::run`]: crate::workspace::WorkspaceIndex::run
-//! [`lint_changed`]: crate::workspace::lint_changed
 
 use crate::graph;
 use crate::lexer::lex;
-use crate::report::{Finding, LintReport, Scope};
-use crate::rules::{self, classify, rule_scope, FileClass, RULE_NAMES};
+use crate::report::{Finding, LintReport};
+use crate::rules::{self, classify, waived_at, FileClass, RULE_NAMES};
 use crate::symbols::{index_file, FileSymbols, Visibility};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -43,15 +32,6 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose metric publishes must reconcile with `REQUIRED_METRICS`.
 const METRICS_CRATES: &[&str] = &["telemetry", "dram", "sched", "serve", "soc"];
-
-/// Filters applied to a lint run (the CLI's `--rule` / `--scope`).
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Keep only findings of this rule.
-    pub rule: Option<String>,
-    /// Keep only findings of this scope.
-    pub scope: Option<Scope>,
-}
 
 /// One analyzed file: classification, symbols, raw findings, waivers.
 #[derive(Debug, Clone)]
@@ -67,7 +47,6 @@ struct AnalyzedFile {
     declared_publishes: BTreeMap<u32, BTreeSet<String>>,
     /// Line spans covered by `#[cfg(test)]` regions.
     test_spans: Vec<(u32, u32)>,
-    lines: u32,
 }
 
 impl AnalyzedFile {
@@ -80,39 +59,6 @@ impl AnalyzedFile {
 #[derive(Debug, Clone, Default)]
 pub struct WorkspaceIndex {
     files: Vec<AnalyzedFile>,
-}
-
-/// If `rule` is waived for a finding on `line`, returns the directive
-/// line that waives it (same line or the line above).
-fn waived_at(waivers: &BTreeMap<u32, BTreeSet<String>>, rule: &str, line: u32) -> Option<u32> {
-    [line, line.saturating_sub(1)]
-        .into_iter()
-        .find(|l| waivers.get(l).is_some_and(|set| set.contains(rule)))
-}
-
-/// Word-boundary substring search: `needle` appears in `haystack` with
-/// non-identifier characters (or edges) on both sides. Used for
-/// conservative reference counting against unlexed files in diff-aware
-/// mode — every tokenized identifier occurrence is also a word-boundary
-/// text occurrence, so this never under-counts.
-fn appears_as_word(haystack: &str, needle: &str) -> bool {
-    if needle.is_empty() {
-        return false;
-    }
-    let is_word = |b: u8| b == b'_' || b.is_ascii_alphanumeric();
-    let bytes = haystack.as_bytes();
-    let mut start = 0;
-    while let Some(pos) = haystack[start..].find(needle) {
-        let at = start + pos;
-        let end = at + needle.len();
-        let before_ok = at == 0 || !is_word(bytes[at - 1]);
-        let after_ok = end >= bytes.len() || !is_word(bytes[end]);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + 1;
-    }
-    false
 }
 
 impl WorkspaceIndex {
@@ -151,17 +97,10 @@ impl WorkspaceIndex {
                 waivers: lexed.waivers,
                 declared_publishes: lexed.publishes,
                 test_spans,
-                lines: lexed.lines,
             });
         }
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         WorkspaceIndex { files }
-    }
-
-    /// Phase 2 over the full index: file rules + workspace rules,
-    /// central waiver application, stale-waiver detection, filtering.
-    pub fn run(&self, opts: &LintOptions) -> LintReport {
-        self.run_filtered(opts, None, &|_| false)
     }
 
     /// Test support: removes `name` from every indexed `REQUIRED_METRICS`
@@ -173,25 +112,16 @@ impl WorkspaceIndex {
         }
     }
 
-    /// The shared phase-2 engine. `changed` restricts the report to the
-    /// given files (diff-aware mode); `external_ref` answers "does this
-    /// name occur in a file outside the index" for conservative
-    /// reference counting in that mode.
-    fn run_filtered(
-        &self,
-        opts: &LintOptions,
-        changed: Option<&BTreeSet<String>>,
-        external_ref: &dyn Fn(&str) -> bool,
-    ) -> LintReport {
-        let changed_mode = changed.is_some();
+    /// Phase 2 over the full index: file rules + workspace rules,
+    /// central waiver application, stale-waiver detection.
+    pub fn run(&self) -> LintReport {
         let mut raw: Vec<Finding> = Vec::new();
         for f in &self.files {
             raw.extend(f.raw_findings.iter().cloned());
         }
-        raw.extend(self.dead_pub_findings(changed, external_ref));
-        raw.extend(self.drift_findings(changed, external_ref));
+        raw.extend(self.dead_pub_findings());
+        raw.extend(self.drift_findings());
         raw.extend(self.cycle_findings());
-        raw.extend(self.shim_expiry_findings());
 
         let path_idx: BTreeMap<&str, usize> = self
             .files
@@ -221,9 +151,7 @@ impl WorkspaceIndex {
         }
 
         // Stale-waiver pass. Directives in test paths/regions are exempt
-        // (test code is outside every rule's jurisdiction). In diff-aware
-        // mode only file-scoped rules are decidable — a workspace-rule
-        // waiver may be "used" by a finding the partial index cannot see.
+        // (test code is outside every rule's jurisdiction).
         for (idx, af) in self.files.iter().enumerate() {
             if af.class.is_test_path {
                 continue;
@@ -238,9 +166,6 @@ impl WorkspaceIndex {
                         continue;
                     }
                     let known = RULE_NAMES.contains(&rule.as_str());
-                    if known && changed_mode && rule_scope(rule) == Scope::Workspace {
-                        continue;
-                    }
                     if known && used.contains(&(idx, dline, rule.as_str())) {
                         continue;
                     }
@@ -251,7 +176,6 @@ impl WorkspaceIndex {
                     };
                     let stale = Finding {
                         rule: "stale-waiver".to_owned(),
-                        scope: Scope::Workspace,
                         file: af.rel_path.clone(),
                         line: dline,
                         message,
@@ -265,20 +189,9 @@ impl WorkspaceIndex {
             }
         }
 
-        if let Some(rule) = &opts.rule {
-            findings.retain(|f| &f.rule == rule);
-        }
-        if let Some(scope) = opts.scope {
-            findings.retain(|f| f.scope == scope);
-        }
-        if let Some(changed) = changed {
-            findings.retain(|f| changed.contains(&f.file));
-        }
-
         let mut report = LintReport {
             findings,
             files_scanned: self.files.len(),
-            lines_scanned: self.files.iter().map(|f| f.lines as usize).sum(),
             waived,
         };
         report.sort();
@@ -286,16 +199,8 @@ impl WorkspaceIndex {
     }
 
     /// `dead-pub-item`: `pub` items in library crates whose names occur
-    /// nowhere beyond their own definition sites. In diff-aware mode
-    /// (`changed` is `Some`) candidates outside the changed set are
-    /// skipped up front: their findings would be filtered out anyway, and
-    /// skipping them avoids the workspace-wide reference search — the
-    /// bulk of a small diff's cost.
-    fn dead_pub_findings(
-        &self,
-        changed: Option<&BTreeSet<String>>,
-        external_ref: &dyn Fn(&str) -> bool,
-    ) -> Vec<Finding> {
+    /// nowhere beyond their own definition sites.
+    fn dead_pub_findings(&self) -> Vec<Finding> {
         let lib_crates: BTreeSet<&str> = self
             .files
             .iter()
@@ -317,7 +222,6 @@ impl WorkspaceIndex {
             if f.class.is_test_path
                 || f.class.is_bin
                 || !lib_crates.contains(f.class.crate_name.as_str())
-                || changed.is_some_and(|c| !c.contains(&f.rel_path))
             {
                 continue;
             }
@@ -326,12 +230,11 @@ impl WorkspaceIndex {
                     continue;
                 }
                 let refs = totals[d.name.as_str()] - def_counts[d.name.as_str()];
-                if refs > 0 || external_ref(&d.name) {
+                if refs > 0 {
                     continue;
                 }
                 out.push(Finding {
                     rule: "dead-pub-item".to_owned(),
-                    scope: Scope::Workspace,
                     file: f.rel_path.clone(),
                     line: d.line,
                     message: format!(
@@ -347,16 +250,8 @@ impl WorkspaceIndex {
     }
 
     /// `metrics-registry-drift`, both directions. Skipped entirely when
-    /// the tree defines no `REQUIRED_METRICS`. In diff-aware mode the
-    /// registry-side direction is only evaluated when the registry file
-    /// itself changed — its findings anchor there, so they would be
-    /// filtered out otherwise and the per-entry reference searches are
-    /// pure waste.
-    fn drift_findings(
-        &self,
-        changed: Option<&BTreeSet<String>>,
-        external_ref: &dyn Fn(&str) -> bool,
-    ) -> Vec<Finding> {
+    /// the tree defines no `REQUIRED_METRICS`.
+    fn drift_findings(&self) -> Vec<Finding> {
         let mut required: BTreeMap<&str, (&str, u32)> = BTreeMap::new();
         for f in &self.files {
             if f.class.is_test_path {
@@ -408,7 +303,6 @@ impl WorkspaceIndex {
             if !required.contains_key(name) {
                 out.push(Finding {
                     rule: "metrics-registry-drift".to_owned(),
-                    scope: Scope::Workspace,
                     file: file.to_owned(),
                     line,
                     message: format!(
@@ -419,15 +313,11 @@ impl WorkspaceIndex {
             }
         }
         for (name, (file, line)) in required {
-            if changed.is_some_and(|c| !c.contains(file)) {
-                continue;
-            }
-            if published_anywhere.contains(name) || external_ref(name) {
+            if published_anywhere.contains(name) {
                 continue;
             }
             out.push(Finding {
                 rule: "metrics-registry-drift".to_owned(),
-                scope: Scope::Workspace,
                 file: file.to_owned(),
                 line,
                 message: format!(
@@ -464,7 +354,6 @@ impl WorkspaceIndex {
                 for e in &cycle.edges {
                     out.push(Finding {
                         rule: "dependency-cycle".to_owned(),
-                        scope: Scope::Workspace,
                         file: e.file.clone(),
                         line: e.line,
                         message: format!(
@@ -475,29 +364,6 @@ impl WorkspaceIndex {
                         ),
                     });
                 }
-            }
-        }
-        out
-    }
-
-    /// `deprecated-shim-expiry`: any surviving `#[deprecated]` marker in
-    /// library non-test code.
-    fn shim_expiry_findings(&self) -> Vec<Finding> {
-        let mut out = Vec::new();
-        for f in &self.files {
-            if f.class.is_test_path || f.class.is_bin {
-                continue;
-            }
-            for &line in &f.symbols.deprecated_attrs {
-                out.push(Finding {
-                    rule: "deprecated-shim-expiry".to_owned(),
-                    scope: Scope::Workspace,
-                    file: f.rel_path.clone(),
-                    line,
-                    message: "#[deprecated] shim has outlived its one-release grace \
-                              period; delete the shim and migrate remaining callers"
-                        .to_owned(),
-                });
             }
         }
         out
@@ -531,9 +397,8 @@ fn workspace_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
 }
 
 /// Full-tree analysis: phase 1 over every file under `<root>/crates`.
-/// `analyze_root(root)?.run(&LintOptions::default())` lints the whole
-/// tree with every rule, as `pccs lint` does without filters; paths in
-/// findings are relative to `root`.
+/// `analyze_root(root)?.run()` lints the whole tree with every rule, as
+/// `pccs lint` does; paths in findings are relative to `root`.
 ///
 /// # Errors
 ///
@@ -545,65 +410,6 @@ pub fn analyze_root(root: &Path) -> io::Result<WorkspaceIndex> {
         sources.push((rel, fs::read_to_string(&path)?));
     }
     Ok(WorkspaceIndex::analyze(&sources))
-}
-
-/// Diff-aware lint: analyzes only the crates containing `changed` files
-/// (plus the bench registry, which anchors `metrics-registry-drift`),
-/// and reports only findings in changed files — a strict subset of the
-/// full run, at a fraction of its cost.
-///
-/// `changed` holds repo-relative paths (as from `git diff --name-only`);
-/// entries outside `crates/**/*.rs` are ignored. Files outside the
-/// lexed set are consulted lazily, via word-boundary text search, only
-/// when a candidate finding needs workspace-wide reference evidence.
-///
-/// # Errors
-///
-/// Propagates I/O errors from walking or reading the tree.
-pub fn lint_changed(root: &Path, changed: &[String], opts: &LintOptions) -> io::Result<LintReport> {
-    let changed_set: BTreeSet<String> = changed
-        .iter()
-        .map(|p| p.replace('\\', "/"))
-        .filter(|p| classify(p).is_some())
-        .collect();
-    if changed_set.is_empty() {
-        return Ok(LintReport::default());
-    }
-    let changed_crates: BTreeSet<String> = changed_set
-        .iter()
-        .filter_map(|p| classify(p))
-        .map(|c| c.crate_name)
-        .collect();
-    let mut lexed_sources = Vec::new();
-    let mut unlexed_paths = Vec::new();
-    for (rel, path) in workspace_files(root)? {
-        let Some(class) = classify(&rel) else {
-            continue;
-        };
-        let in_scope =
-            changed_crates.contains(&class.crate_name) || rel == "crates/bench/src/lib.rs";
-        if in_scope {
-            lexed_sources.push((rel, fs::read_to_string(&path)?));
-        } else {
-            unlexed_paths.push(path);
-        }
-    }
-    let index = WorkspaceIndex::analyze(&lexed_sources);
-    // Unlexed contents load lazily: most diffs produce no candidate that
-    // needs workspace-wide reference evidence, and skipping the reads is
-    // most of lint-changed's speed advantage.
-    let cache: RefCell<Option<Vec<String>>> = RefCell::new(None);
-    let external_ref = |needle: &str| -> bool {
-        let mut slot = cache.borrow_mut();
-        let contents = slot.get_or_insert_with(|| {
-            unlexed_paths
-                .iter()
-                .filter_map(|p| fs::read_to_string(p).ok())
-                .collect()
-        });
-        contents.iter().any(|src| appears_as_word(src, needle))
-    };
-    Ok(index.run_filtered(opts, Some(&changed_set), &external_ref))
 }
 
 #[cfg(test)]
@@ -636,7 +442,7 @@ mod tests {
             ),
             ("crates/app/src/lib.rs", "/// D.\npub fn app() { used(); }\napp_entry!(app);\n"),
         ]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         let dead = rule_findings(&report, "dead-pub-item");
         // `orphan` is dead; `used` is referenced from app; `internal` is
         // pub(crate); `app` is referenced by the macro invocation.
@@ -655,7 +461,7 @@ mod tests {
                 "#[test]\nfn t() { pccs_leaf::tested_only(); }\n",
             ),
         ]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         assert!(rule_findings(&report, "dead-pub-item").is_empty());
     }
 
@@ -672,7 +478,7 @@ mod tests {
                 "#[cfg(test)]\nmod tests {\n    pub fn fixture() {}\n}\n",
             ),
         ]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         assert!(rule_findings(&report, "dead-pub-item").is_empty());
     }
 
@@ -687,7 +493,7 @@ mod tests {
                 "fn publish() {\n    metrics::add(\"dram.cycles\", 1);\n    metrics::add(\"dram.rogue\", 1);\n}\n",
             ),
         ]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         let drift = rule_findings(&report, "metrics-registry-drift");
         // `dram.rogue` published-but-unregistered (at the publish site);
         // `ghost.metric` registered-but-unpublished (at the entry line).
@@ -718,7 +524,7 @@ mod tests {
                 "fn f() { metrics::add(\"sweep.cells\", 1); metrics::add(\"sweep.extra\", 1); }\n",
             ),
         ]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         assert!(rule_findings(&report, "metrics-registry-drift").is_empty());
     }
 
@@ -728,7 +534,7 @@ mod tests {
             "crates/dram/src/stats.rs",
             "fn publish() { metrics::add(\"dram.unlisted\", 1); }\n",
         )]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         assert!(rule_findings(&report, "metrics-registry-drift").is_empty());
     }
 
@@ -744,16 +550,9 @@ mod tests {
                 "fn publish() { metrics::add(\"dram.cycles\", 1); metrics::add(\"dram.bytes\", 1); }\n",
             ),
         ]);
-        assert!(rule_findings(
-            &index.run(&LintOptions::default()),
-            "metrics-registry-drift"
-        )
-        .is_empty());
+        assert!(rule_findings(&index.run(), "metrics-registry-drift").is_empty());
         index.remove_required_metric("dram.cycles");
-        let drift = rule_findings(
-            &index.run(&LintOptions::default()),
-            "metrics-registry-drift",
-        );
+        let drift = rule_findings(&index.run(), "metrics-registry-drift");
         assert_eq!(drift, vec![("crates/dram/src/stats.rs".to_owned(), 1)]);
     }
 
@@ -770,7 +569,7 @@ mod tests {
                 "use crate::a::A;\n/// D.\npub struct B;\n",
             ),
         ]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         let cycle = rule_findings(&report, "dependency-cycle");
         assert_eq!(
             cycle,
@@ -782,26 +581,13 @@ mod tests {
     }
 
     #[test]
-    fn shim_expiry_flags_surviving_deprecated_markers() {
-        let index = index_of(&[(
-            "crates/dram/src/controller.rs",
-            "/// D.\n#[deprecated(note = \"kept one release\")]\npub fn old_api() {}\nfn live() { old_api(); }\n",
-        )]);
-        let report = index.run(&LintOptions::default());
-        assert_eq!(
-            rule_findings(&report, "deprecated-shim-expiry"),
-            vec![("crates/dram/src/controller.rs".to_owned(), 2)]
-        );
-    }
-
-    #[test]
     fn workspace_findings_are_waivable_at_their_anchor() {
         let index = index_of(&[(
-            "crates/dram/src/controller.rs",
-            "/// D.\n// pccs-lint: allow(deprecated-shim-expiry)\n#[deprecated]\npub fn old_api() {}\nfn live() { old_api(); }\n",
+            "crates/dram/src/lib.rs",
+            "/// D.\n// pccs-lint: allow(dead-pub-item)\npub fn old_api() {}\n",
         )]);
-        let report = index.run(&LintOptions::default());
-        assert!(rule_findings(&report, "deprecated-shim-expiry").is_empty());
+        let report = index.run();
+        assert!(rule_findings(&report, "dead-pub-item").is_empty());
         assert_eq!(report.waived, 1);
         // The waiver is used, so it is not stale.
         assert!(rule_findings(&report, "stale-waiver").is_empty());
@@ -813,7 +599,7 @@ mod tests {
             "crates/dram/src/quiet.rs",
             "// pccs-lint: allow(hot-path-panic)\nfn fine() {}\n// pccs-lint: allow(no-such-rule)\nfn also_fine() {}\n",
         )]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         let stale = rule_findings(&report, "stale-waiver");
         assert_eq!(
             stale,
@@ -838,7 +624,7 @@ mod tests {
             "crates/dram/src/quiet.rs",
             "// pccs-lint: allow(hot-path-panic, stale-waiver)\nfn fine() {}\n",
         )]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         assert!(rule_findings(&report, "stale-waiver").is_empty());
         assert_eq!(report.waived, 1);
     }
@@ -855,39 +641,7 @@ mod tests {
                 "#[cfg(test)]\nmod tests {\n    // pccs-lint: allow(nondeterminism)\n    fn t() {}\n}\n",
             ),
         ]);
-        let report = index.run(&LintOptions::default());
+        let report = index.run();
         assert!(rule_findings(&report, "stale-waiver").is_empty());
-    }
-
-    #[test]
-    fn rule_and_scope_filters_apply() {
-        let index = index_of(&[(
-            "crates/dram/src/bad.rs",
-            "/// D.\n#[deprecated]\npub fn shim() {}\nfn f(x: Option<u32>) -> u32 { shim(); x.unwrap() }\n",
-        )]);
-        let all = index.run(&LintOptions::default());
-        assert_eq!(all.per_rule()["hot-path-panic"], 1);
-        assert_eq!(all.per_rule()["deprecated-shim-expiry"], 1);
-        let only_expiry = index.run(&LintOptions {
-            rule: Some("deprecated-shim-expiry".to_owned()),
-            scope: None,
-        });
-        assert_eq!(only_expiry.findings.len(), 1);
-        let file_only = index.run(&LintOptions {
-            rule: None,
-            scope: Some(Scope::File),
-        });
-        assert!(file_only.findings.iter().all(|f| f.scope == Scope::File));
-        assert!(file_only.per_rule().contains_key("hot-path-panic"));
-    }
-
-    #[test]
-    fn word_boundary_search_is_conservative_but_bounded() {
-        assert!(appears_as_word("let x = orphan();", "orphan"));
-        assert!(appears_as_word("\"orphan\"", "orphan"));
-        assert!(!appears_as_word("let x = orphanage();", "orphan"));
-        assert!(!appears_as_word("let x = my_orphan;", "orphan"));
-        assert!(appears_as_word("dram.cycles", "dram.cycles"));
-        assert!(!appears_as_word("", "orphan"));
     }
 }

@@ -1,7 +1,6 @@
 //! Fixture crate root: declaring the seeded modules makes the dram
-//! fixture a *library* crate, which is what arms the dead-pub-item and
-//! deprecated-shim-expiry rules. Never compiled — consumed by the
-//! `fixtures` integration test.
+//! fixture a *library* crate, which is what arms the dead-pub-item rule.
+//! Never compiled — consumed by the `fixtures` integration test.
 
 /// Seeded per-file violations.
 pub mod seeded;
@@ -15,7 +14,5 @@ pub fn orphan_api() -> u32 {
     41
 }
 
-/// An expired shim: deprecated *and* unreferenced, so both the
-/// shim-expiry and dead-pub rules must flag it.
-#[deprecated(since = "0.1.0", note = "kept one release; delete me")]
+/// A second dead pub item: an old entry point nothing calls any more.
 pub fn legacy_entry() {}

@@ -1,5 +1,5 @@
-//! Seeded-violation fixture: every rule must fire on this file.
-//! Never compiled — consumed by the `fixtures` integration test.
+//! Seeded-violation fixture for the per-file rules. Never compiled —
+//! consumed by the `fixtures` integration test.
 
 use std::collections::HashMap;
 

@@ -15,6 +15,8 @@
 //! application of interest, which is exactly what is impossible at SoC
 //! design time for future workloads. PCCS needs only calibrator runs.
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Bubble-up (Mars et al., MICRO'11): an empirically measured per-application.
 pub mod bubbleup;
 /// ESP-style interference prediction (Mishra et al., ICAC'17): a black-box.

@@ -11,6 +11,8 @@
 //! Speed is measured by one benchmark, `perfbench/` (declared in
 //! `BENCHMARK.json`; see `perfbench/README.md`), not by this crate.
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Model-accuracy baselines and the CI accuracy gate (`pccs audit`).
 pub mod accuracy;
 

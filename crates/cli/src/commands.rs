@@ -685,72 +685,15 @@ pub fn policies(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// The `.rs` paths under `crates/` that differ from `git_ref`, straight
-/// from `git diff --name-only` (uncommitted edits included). Non-source
-/// paths survive here; the analyzer discards them during classification.
-fn changed_files(root: &Path, git_ref: &str) -> Result<Vec<String>, ArgError> {
-    let out = std::process::Command::new("git")
-        .arg("-C")
-        .arg(root)
-        .args(["diff", "--name-only", git_ref, "--"])
-        .output()
-        .map_err(|e| ArgError(format!("running git diff: {e}")))?;
-    if !out.status.success() {
-        return Err(ArgError(format!(
-            "git diff --name-only {git_ref} failed: {}",
-            String::from_utf8_lossy(&out.stderr).trim()
-        )));
-    }
-    Ok(String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .map(str::to_owned)
-        .collect())
-}
-
 /// `pccs lint` — runs the repo-invariant linter ([`pccs_analysis`]) over
-/// the workspace. Exits non-zero when findings survive waivers; `--json`
-/// emits the telemetry JSONL records instead of the text report.
-/// `--changed <git-ref>` lints only the files that differ from the ref
-/// (a strict subset of the full run), `--rule <name>` and
-/// `--scope {file,workspace}` filter the findings.
+/// the workspace under `--root` and prints its text report. Exits
+/// non-zero when findings survive waivers.
 pub fn lint(args: &Args) -> Result<(), ArgError> {
-    use pccs_analysis::report::Scope;
-    use pccs_analysis::workspace::{self, LintOptions};
-
     let root = Path::new(args.get("root").unwrap_or("."));
-    let mut opts = LintOptions::default();
-    if let Some(rule) = args.get("rule") {
-        if !pccs_analysis::rules::RULE_NAMES.contains(&rule) {
-            return Err(ArgError(format!(
-                "unknown rule '{rule}' (known: {})",
-                pccs_analysis::rules::RULE_NAMES.join(", ")
-            )));
-        }
-        opts.rule = Some(rule.to_owned());
-    }
-    if let Some(scope) = args.get("scope") {
-        opts.scope = Some(match scope {
-            "file" => Scope::File,
-            "workspace" => Scope::Workspace,
-            other => {
-                return Err(ArgError(format!(
-                    "unknown scope '{other}' (file or workspace)"
-                )))
-            }
-        });
-    }
-    let report = if let Some(git_ref) = args.get("changed") {
-        let changed = changed_files(root, git_ref)?;
-        workspace::lint_changed(root, &changed, &opts)
-    } else {
-        workspace::analyze_root(root).map(|index| index.run(&opts))
-    }
-    .map_err(|e| ArgError(format!("linting {}: {e}", root.display())))?;
-    if args.has("json") {
-        print!("{}", report.to_jsonl());
-    } else {
-        print!("{}", report.render_text());
-    }
+    let report = pccs_analysis::workspace::analyze_root(root)
+        .map_err(|e| ArgError(format!("linting {}: {e}", root.display())))?
+        .run();
+    print!("{}", report.render_text());
     if report.is_clean() {
         Ok(())
     } else {

@@ -16,8 +16,7 @@
 //!                  [--policy pccs] [--admission open] [--duration 2000000]
 //!                  [--seed 42] [--batch 4] [--quick] [--metrics-out out.jsonl]
 //! pccs policies    [--victim 48]
-//! pccs lint        [--root .] [--json] [--changed <git-ref>]
-//!                  [--rule <name>] [--scope file|workspace]
+//! pccs lint        [--root .]
 //! pccs audit       [--quick] [--out ACCURACY.json] [--check baseline.json]
 //!                  [--tolerance 0.5] [--validate ACCURACY.json]
 //! pccs trace-check --file trace.json [--min-depth 3] [--min-counters 10]
@@ -70,8 +69,7 @@ USAGE:
                     [--seed <N>] [--batch <N>] [--quick] [--jobs <N>]
                     [--metrics-out <events.jsonl>]
   pccs policies     [--victim <GB/s>]
-  pccs lint         [--root <path>] [--json] [--changed <git-ref>]
-                    [--rule <name>] [--scope <file|workspace>]
+  pccs lint         [--root <path>]
   pccs audit        [--quick] [--out <ACCURACY.json>] [--check <baseline.json>]
                     [--tolerance <pct-points>] [--validate <ACCURACY.json>]
   pccs trace-check  --file <trace.json> [--min-depth <N>] [--min-counters <N>]
@@ -147,11 +145,7 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
         commands::serve,
     ),
     ("policies", &["victim"], commands::policies),
-    (
-        "lint",
-        &["root", "json", "changed", "rule", "scope"],
-        commands::lint,
-    ),
+    ("lint", &["root"], commands::lint),
     (
         "audit",
         &["quick", "out", "check", "tolerance", "validate"],

@@ -22,7 +22,21 @@ fn misspelled_corun_option_is_rejected() {
 
 #[test]
 fn removed_engine_option_is_rejected_by_serve() {
-    let (code, stderr) = pccs("serve --quick --policy greedy --engine event");
-    assert_eq!(code, 2);
-    assert!(stderr.contains("unknown option --engine"), "{stderr}");
+    // Options that were removed get the generic error, like a typo: the
+    // memory-engine switch, and `pccs lint`'s diff-aware mode, JSONL
+    // output and finding filters.
+    for (line, option) in [
+        ("serve --quick --policy greedy --engine event", "--engine"),
+        ("lint --changed HEAD~1", "--changed"),
+        ("lint --json", "--json"),
+        ("lint --rule hot-path-panic", "--rule"),
+        ("lint --scope file", "--scope"),
+    ] {
+        let (code, stderr) = pccs(line);
+        assert_eq!(code, 2, "{line}");
+        assert!(
+            stderr.contains(&format!("unknown option {option}")),
+            "{line}: {stderr}"
+        );
+    }
 }

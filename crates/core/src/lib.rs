@@ -31,6 +31,8 @@
 //! assert!(rs > 0.0 && rs <= 100.0);
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Model construction from calibration measurements (Section 3.2).
 pub mod builder;
 /// Error types for model construction.

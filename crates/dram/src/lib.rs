@@ -37,6 +37,8 @@
 //! assert!(achieved > 0.0);
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Bank state machine.
 pub mod bank;
 /// Memory-system configuration and the presets used throughout the paper.

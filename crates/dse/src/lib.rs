@@ -29,6 +29,8 @@
 //! println!("clock the GPU at {} MHz", sel.chosen_mhz);
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// PU frequency selection under a co-run slowdown constraint (Section 4.3,
 /// Table 9, Figure 15).
 pub mod freq;

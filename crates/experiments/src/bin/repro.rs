@@ -14,11 +14,11 @@
 //! validation figures; `validate` expands to the five validation figures
 //! (fig8–fig12). `--jobs N` sets the sweep worker-thread count (default:
 //! all cores; results are byte-identical for any N because every
-//! simulation is seeded). `--metrics-out <dir>` (alias: `--json <dir>`)
-//! additionally writes each experiment's result as `<dir>/<name>.json` — a
-//! `{manifest, result}` object whose manifest records the configuration,
-//! crate version, start time, and wall time — plus the profiler spans as
-//! `<dir>/trace.jsonl` (see DESIGN.md for the JSONL schema).
+//! simulation is seeded). `--metrics-out <dir>` additionally writes each
+//! experiment's result as `<dir>/<name>.json` — a `{manifest, result}`
+//! object whose manifest records the configuration, crate version, start
+//! time, and wall time — plus the profiler spans as `<dir>/trace.jsonl`
+//! (see DESIGN.md for the JSONL schema).
 //! `--trace-out <file>` writes a Chrome/Perfetto trace (open it at
 //! <https://ui.perfetto.dev>) with per-worker span lanes and one counter
 //! track per `pccs` metric, sampled at every experiment boundary
@@ -71,13 +71,7 @@ const SWITCHES: &[&str] = &["--quick", "--curves"];
 
 /// Options that take a value; their value tokens must not be mistaken for
 /// experiment names.
-const VALUED: &[&str] = &[
-    "--metrics-out",
-    "--json",
-    "--jobs",
-    "--trace-out",
-    "--audit-out",
-];
+const VALUED: &[&str] = &["--metrics-out", "--jobs", "--trace-out", "--audit-out"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -91,9 +85,7 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .map(|s| s.to_owned())
     };
-    // `--metrics-out` is the canonical export flag (matching `pccs corun`
-    // and `pccs sched`); `--json` stays as an alias.
-    let json_dir: Option<String> = opt_value("--metrics-out").or_else(|| opt_value("--json"));
+    let json_dir: Option<String> = opt_value("--metrics-out");
     let trace_out: Option<String> = opt_value("--trace-out");
     let audit_out: Option<String> = opt_value("--audit-out");
     let jobs: usize = match opt_value("--jobs") {
@@ -114,12 +106,6 @@ fn main() {
         if VALUED.contains(&a.as_str()) {
             i += 2; // skip the flag and its value
             continue;
-        }
-        if a == "--engine" {
-            eprintln!(
-                "option '--engine' was removed: the cycle-exact memory engine is the only engine"
-            );
-            std::process::exit(2);
         }
         if a.starts_with("--") {
             if !SWITCHES.contains(&a.as_str()) {

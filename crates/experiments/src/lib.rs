@@ -29,6 +29,8 @@
 //! drives them: `repro --quick fig3 table7`, `repro validate --jobs 4`,
 //! or `repro all`.
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Cross-experiment memoization of standalone profiles.
 pub mod cache;
 /// Shared experiment context: SoC presets, measurement quality, and caches.

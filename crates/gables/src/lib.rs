@@ -29,6 +29,8 @@
 //! assert!(gables.relative_speed_pct(100.0, 100.0) < 100.0);
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 use pccs_core::SlowdownModel;
 use serde::{Deserialize, Serialize};
 

@@ -40,6 +40,8 @@
 //! assert_eq!(report.jobs.len(), mix.jobs.len());
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// The scheduling engine: replays a job stream against the co-run.
 pub mod engine;
 /// Typed failures of stream validation and replay.

@@ -36,6 +36,8 @@
 //! [`ArrivalProcess`]: arrivals::ArrivalProcess
 //! [`Policy`]: pccs_sched::policy::Policy
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Deadline-aware admission control on PCCS finish predictions.
 pub mod admission;
 /// Deterministic open-loop arrival processes (Poisson, bursty, trace).

@@ -46,6 +46,8 @@
 //! assert!(rs > 0.0 && rs <= 1.05);
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// Co-run simulation and achieved-relative-speed measurement.
 pub mod corun;
 /// The PU executor: a compute-coupled traffic source.

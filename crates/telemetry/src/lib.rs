@@ -32,6 +32,8 @@
 //!   ground-truth) pairs with SoC/PU/region/policy provenance,
 //!   plus the accuracy scorecards behind `pccs audit`.
 
+#![warn(missing_docs, unreachable_pub)]
+
 mod histogram;
 mod manifest;
 mod profiler;

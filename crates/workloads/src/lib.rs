@@ -30,6 +30,8 @@
 //! # Ok::<(), pccs_core::ModelBuildError>(())
 //! ```
 
+#![warn(missing_docs, unreachable_pub)]
+
 /// The processor-centric model-construction pipeline (Section 3.2).
 pub mod calibrate;
 /// DNN inference traffic proxies for the DLA.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the reference outputs stored under results/.
-# Full fidelity: the repro step alone took 2 min 43 s on a 2-vCPU VM
+# Full fidelity: the repro step alone took 2 min 58 s on a 2-vCPU VM
 # (all cores, i.e. --jobs 2); the audit refresh comes on top.
 set -euo pipefail
 cd "$(dirname "$0")/.."
