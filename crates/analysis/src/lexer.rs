@@ -65,8 +65,6 @@ pub struct LexedFile {
     /// literals are not recorded). The token itself stays a `"<lit>"`
     /// placeholder so rules and brace matching never see literal text.
     pub strings: BTreeMap<usize, String>,
-    /// Total source lines (1-based line number of the last character).
-    pub lines: u32,
 }
 
 /// Scans `pccs-lint:` directives (`allow(rule-a, rule-b)` waivers and
@@ -278,7 +276,6 @@ pub fn lex(src: &str) -> LexedFile {
             }
         }
     }
-    out.lines = line;
     out
 }
 
@@ -539,11 +536,5 @@ mod tests {
         // Doc comments never declare.
         let lexed = lex("/// pccs-lint: publishes(x.y)\npub fn g() {}\n");
         assert!(lexed.publishes.is_empty());
-    }
-
-    #[test]
-    fn line_total_is_tracked() {
-        assert_eq!(lex("a\nb\nc\n").lines, 4);
-        assert_eq!(lex("one line").lines, 1);
     }
 }

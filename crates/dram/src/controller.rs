@@ -25,7 +25,7 @@ use crate::bank::Bank;
 use crate::config::DramConfig;
 use crate::conformance::{CmdKind, CommandRecord, ConformanceChecker, ConformanceReport};
 use crate::mapping::AddressMapping;
-use crate::policy::{Candidate, ScheduleInput, SchedulingPolicy};
+use crate::policy::{RankKey, SchedulingPolicy};
 use crate::request::{DecodedAddr, MemoryRequest, ReqKind, SourceId};
 use crate::stats::MemoryStats;
 use crate::timing::{DramTiming, RowOutcome};
@@ -51,37 +51,61 @@ pub struct Completion {
 
 /// An in-flight request plus its decoded DRAM coordinates. Stored in the
 /// controller-level slab; channel queues and bank lists hold slot indices
-/// into it, and the entry records its position in both.
+/// into it, and the entry records its position in each.
 #[derive(Debug, Clone, Copy)]
 struct QueuedRequest {
     req: MemoryRequest,
     decoded: DecodedAddr,
-    /// Position in `ChannelState::queue`: the policy's `queue_idx`.
+    /// Position in `ChannelState::queue`: the ranking's `queue_idx`.
     queue_pos: u32,
     /// Position in its bank's `BankQueue::slots`.
     bank_pos: u32,
+    /// Position in its bank's `BankQueue::hits`; meaningful only while the
+    /// request's row is the bank's open row.
+    hit_pos: u32,
 }
 
-/// The queued requests of one bank and the counts the scheduler gates on.
-/// Kept exact on enqueue, issue and refresh, so a scheduling opportunity
-/// never rescans the channel queue.
+/// The queued requests of one bank, its open-row hits among them, and the
+/// write count the scheduler gates on. Kept exact on enqueue, issue and
+/// refresh, so a scheduling opportunity never rescans the channel queue.
 #[derive(Debug, Default)]
 struct BankQueue {
     /// Slab slots of the bank's queued requests, in no particular order.
     slots: Vec<u32>,
+    /// The slots of `slots` whose row is the bank's open row (row hits if
+    /// issued now), in no particular order.
+    hits: Vec<u32>,
     /// Queued writes (the rest of `slots` are reads).
     writes: u32,
-    /// Queued requests for the bank's open row (row hits if issued now).
-    hits: u32,
 }
 
 impl BankQueue {
-    /// Queued requests for `row`, counted from scratch.
-    fn count_row(&self, slab: &[QueuedRequest], row: u64) -> u32 {
-        self.slots
-            .iter()
-            .filter(|&&slot| slab[slot as usize].decoded.row == row)
-            .count() as u32
+    /// Rebuilds `hits` for a newly opened `row`.
+    fn rebuild_hits(&mut self, slab: &mut [QueuedRequest], row: u64) {
+        self.hits.clear();
+        for &slot in &self.slots {
+            let q = &mut slab[slot as usize];
+            if q.decoded.row == row {
+                q.hit_pos = self.hits.len() as u32;
+                self.hits.push(slot);
+            }
+        }
+    }
+}
+
+/// `list.swap_remove(pos)`, then records the moved entry's new position
+/// through `field`.
+fn swap_remove_slot(
+    list: &mut Vec<u32>,
+    pos: usize,
+    slab: &mut [QueuedRequest],
+    field: fn(&mut QueuedRequest) -> &mut u32,
+) {
+    if pos < list.len() {
+        list.swap_remove(pos);
+        if let Some(&moved) = list.get(pos) {
+            *field(&mut slab[moved as usize]) = pos as u32;
+        }
     }
 }
 
@@ -106,22 +130,20 @@ struct ChannelState {
 }
 
 impl ChannelState {
-    /// Removes the request at `queue_idx` from the queue and from its bank
-    /// list, fixing up the recorded position of whichever entry each
-    /// `swap_remove` moved, and returns its slab slot.
+    /// Removes the request at `queue_idx` from the queue, from its bank
+    /// list and (if it hits the open row) from its bank's hit list, fixing
+    /// up the recorded position of whichever entry each `swap_remove`
+    /// moved, and returns its slab slot.
     fn dequeue(&mut self, slab: &mut [QueuedRequest], queue_idx: usize) -> u32 {
-        let slot = self.queue.swap_remove(queue_idx);
-        if let Some(&moved) = self.queue.get(queue_idx) {
-            slab[moved as usize].queue_pos = queue_idx as u32;
-        }
+        let slot = self.queue[queue_idx];
+        swap_remove_slot(&mut self.queue, queue_idx, slab, |q| &mut q.queue_pos);
         let q = slab[slot as usize];
         let bank = &mut self.bank_queues[q.decoded.bank];
-        let pos = q.bank_pos as usize;
-        if pos < bank.slots.len() {
-            bank.slots.swap_remove(pos);
-            if let Some(&moved) = bank.slots.get(pos) {
-                slab[moved as usize].bank_pos = pos as u32;
-            }
+        swap_remove_slot(&mut bank.slots, q.bank_pos as usize, slab, |q| {
+            &mut q.bank_pos
+        });
+        if self.banks[q.decoded.bank].open_row() == Some(q.decoded.row) {
+            swap_remove_slot(&mut bank.hits, q.hit_pos as usize, slab, |q| &mut q.hit_pos);
         }
         if q.req.kind == ReqKind::Write {
             bank.writes = bank.writes.saturating_sub(1);
@@ -178,9 +200,13 @@ pub struct MemoryController {
     slab: Vec<QueuedRequest>,
     /// Free slot indices in `slab`.
     free_slots: Vec<u32>,
-    /// Reusable candidate buffer for `schedule_channel` (no per-cycle
-    /// allocation on the hot path).
-    cand_scratch: Vec<Candidate>,
+    /// Reusable buffer of the distinct sources with an issuable request,
+    /// filled only for a ranking that picks a target.
+    issuable_sources: Vec<SourceId>,
+    /// Per source, the smallest key among its issuable requests, indexed by
+    /// `SourceId.0`; filled for `issuable_sources` only, and emptied again
+    /// after each pick.
+    best_of_source: Vec<Option<RankKey>>,
     stats: MemoryStats,
     /// Queued requests per source, indexed by `SourceId.0`.
     pending_per_source: Vec<usize>,
@@ -217,6 +243,10 @@ impl MemoryController {
             config.banks_per_channel <= 128,
             "unsupported geometry: more than 128 banks per channel"
         );
+        assert!(
+            config.queue_capacity < 1 << RankKey::QUEUE_BITS,
+            "unsupported queue capacity: 2^30 requests or more"
+        );
         let slab_capacity = config.queue_capacity * config.channels;
         Self {
             config,
@@ -225,7 +255,8 @@ impl MemoryController {
             channels,
             slab: Vec::with_capacity(slab_capacity),
             free_slots: Vec::new(),
-            cand_scratch: Vec::new(),
+            issuable_sources: Vec::new(),
+            best_of_source: Vec::new(),
             stats: MemoryStats::new(),
             pending_per_source: Vec::new(),
             completions: BinaryHeap::new(),
@@ -316,6 +347,7 @@ impl MemoryController {
             decoded,
             queue_pos: channel.queue.len() as u32,
             bank_pos: bank.slots.len() as u32,
+            hit_pos: bank.hits.len() as u32,
         };
         let slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -333,7 +365,7 @@ impl MemoryController {
             bank.writes += 1;
         }
         if channel.banks[decoded.bank].open_row() == Some(decoded.row) {
-            bank.hits += 1;
+            bank.hits.push(slot);
         }
         channel.occupied |= 1u128 << decoded.bank;
         let depth = channel.queue.len() as u64;
@@ -375,10 +407,16 @@ impl MemoryController {
         }
     }
 
-    /// Appends the requests of channel `ch_idx` that are schedulable at
-    /// `cycle` to `out`, grouped by bank. The gates are evaluated once per
-    /// occupied bank; only the lists of banks that can issue are visited.
-    fn collect_candidates(&self, ch_idx: usize, cycle: u64, out: &mut Vec<Candidate>) {
+    /// Visits, as `visit(q, row_hit)`, every request of channel `ch_idx`
+    /// that may issue at `cycle`, bank by bank. The gates are evaluated once
+    /// per occupied bank, and only the lists of banks that can issue are
+    /// read: a bank whose open row is shielded offers only its hit list.
+    fn visit_issuable(
+        &self,
+        ch_idx: usize,
+        cycle: u64,
+        mut visit: impl FnMut(&QueuedRequest, bool),
+    ) {
         let channel = &self.channels[ch_idx];
         let timing = &self.config.timing;
         // Open-page awareness: while a bank still has queued row hits for
@@ -403,36 +441,105 @@ impl MemoryController {
             }
             // Every request that misses the open row implies the same
             // ACTIVATE, so its tRRD/tFAW legality is one gate per bank.
-            let misses = (queued.slots.len() as u32).saturating_sub(queued.hits);
-            let shielded =
-                shield_rows && queued.hits > 0 && bank.hits_since_open() < ROW_STREAK_CAP;
-            let misses_ok = misses > 0
-                && !shielded
+            let hits = queued.hits.len();
+            let misses_ok = queued.slots.len() > hits
+                && !(shield_rows && hits > 0 && bank.hits_since_open() < ROW_STREAK_CAP)
                 && act_is_legal(
                     &channel.acts,
                     bank.next_act_at(cycle, timing),
                     self.config.bank_group(b),
                     timing,
                 );
-            if queued.hits == 0 && !misses_ok {
+            if hits == 0 && !misses_ok {
                 continue;
             }
-            let open_row = bank.open_row();
+            self.visit_bank(channel, b, misses_ok, read_ready, &mut visit);
+        }
+    }
+
+    /// Visits the requests of bank `b` that its gates let issue: its whole
+    /// list if misses may issue, else only its hit list; reads only if
+    /// `read_ready`.
+    #[inline]
+    fn visit_bank(
+        &self,
+        channel: &ChannelState,
+        b: usize,
+        misses_ok: bool,
+        read_ready: bool,
+        visit: &mut impl FnMut(&QueuedRequest, bool),
+    ) {
+        let queued = &channel.bank_queues[b];
+        if misses_ok {
+            let open_row = channel.banks[b].open_row();
             for &slot in &queued.slots {
                 let q = &self.slab[slot as usize];
-                let row_hit = open_row == Some(q.decoded.row);
-                if (row_hit || misses_ok) && (read_ready || q.req.kind != ReqKind::Read) {
-                    out.push(Candidate {
-                        queue_idx: q.queue_pos as usize,
-                        source: q.req.source,
-                        row_hit,
-                        arrival: q.req.arrival,
-                        bank: b,
-                        row: q.decoded.row,
-                    });
+                if read_ready || q.req.kind != ReqKind::Read {
+                    visit(q, open_row == Some(q.decoded.row));
+                }
+            }
+        } else {
+            for &slot in &queued.hits {
+                let q = &self.slab[slot as usize];
+                if read_ready || q.req.kind != ReqKind::Read {
+                    visit(q, true);
                 }
             }
         }
+    }
+
+    /// The queue index of the request channel `ch_idx` issues at `cycle`:
+    /// the smallest under the policy's ranking, found in the pass that
+    /// applies the bank gates.
+    fn pick(&mut self, ch_idx: usize, cycle: u64) -> Option<usize> {
+        let ranking = self.policy.ranking();
+        let starved_before = ranking.starved_before(cycle);
+        let key_of = |q: &QueuedRequest, row_hit| {
+            ranking.key(
+                q.req.source,
+                row_hit,
+                q.req.arrival,
+                q.queue_pos,
+                starved_before,
+            )
+        };
+        let mut best = RankKey::NONE;
+        if !ranking.picks_target {
+            self.visit_issuable(ch_idx, cycle, |q, row_hit| {
+                best = best.min(key_of(q, row_hit))
+            });
+            return (best != RankKey::NONE).then(|| best.queue_idx());
+        }
+        // The classes depend on the target, which depends on the issuable
+        // sources. A source's class is one constant for all its requests,
+        // so its best request is the same before and after the target is
+        // picked: keep the best per source, then re-class only those.
+        let mut sources = std::mem::take(&mut self.issuable_sources);
+        let mut best_of = std::mem::take(&mut self.best_of_source);
+        sources.clear();
+        self.visit_issuable(ch_idx, cycle, |q, row_hit| {
+            let key = key_of(q, row_hit);
+            match q.req.source.slot(&mut best_of, None) {
+                Some(b) => *b = (*b).min(key),
+                b @ None => {
+                    *b = Some(key);
+                    sources.push(q.req.source);
+                }
+            }
+        });
+        if !sources.is_empty() {
+            sources.sort_unstable();
+            self.policy.pick_target(&sources, &self.pending_per_source);
+            let ranking = self.policy.ranking();
+            for s in &sources {
+                if let Some(key) = best_of[s.0].take() {
+                    best = best.min(key.with_class(ranking.class(*s)));
+                }
+            }
+        }
+        self.issuable_sources = sources;
+        self.best_of_source = best_of;
+        (best != RankKey::NONE).then(|| best.queue_idx())
     }
 
     fn schedule_channel(&mut self, ch_idx: usize, cycle: u64) {
@@ -486,7 +593,7 @@ impl MemoryController {
                 }
                 // Refresh closes every row: no queued request hits any more.
                 for queued in &mut channel.bank_queues {
-                    queued.hits = 0;
+                    queued.hits.clear();
                 }
                 channel.next_refresh_at = channel.next_refresh_at.saturating_add(t_refi);
             }
@@ -509,31 +616,14 @@ impl MemoryController {
             }
         }
 
-        let mut candidates = std::mem::take(&mut self.cand_scratch);
-        candidates.clear();
-        self.collect_candidates(ch_idx, cycle, &mut candidates);
+        let picked = self.pick(ch_idx, cycle);
         #[cfg(test)]
-        reference::check(self, ch_idx, cycle, &candidates);
-        if candidates.is_empty() {
-            self.cand_scratch = candidates;
+        reference::check(self, ch_idx, cycle, picked);
+        let Some(queue_idx) = picked else {
             self.stats.scheduler.no_candidate += 1;
             if let Some(r) = self.recorder.as_mut() {
                 r.on_stall(cycle, StallEvent::NoCandidate);
             }
-            return;
-        }
-
-        let chosen = {
-            let input = ScheduleInput {
-                cycle,
-                candidates: &candidates,
-                pending_per_source: &self.pending_per_source,
-            };
-            self.policy.choose(&input)
-        };
-        let queue_idx = chosen.map(|c| candidates[c].queue_idx);
-        self.cand_scratch = candidates;
-        let Some(queue_idx) = queue_idx else {
             return;
         };
 
@@ -548,13 +638,10 @@ impl MemoryController {
             &self.config.timing,
             burst,
         );
-        let queued = &mut channel.bank_queues[q.decoded.bank];
-        queued.hits = if issue.outcome == RowOutcome::Hit {
-            queued.hits.saturating_sub(1)
-        } else {
-            // A new row opened: recount the bank's list against it.
-            queued.count_row(&self.slab, q.decoded.row)
-        };
+        if issue.outcome != RowOutcome::Hit {
+            // A new row opened: rebuild the bank's hit list against it.
+            channel.bank_queues[q.decoded.bank].rebuild_hits(&mut self.slab, q.decoded.row);
+        }
         let finish = issue.data_ready + burst;
         channel.next_issue_at = cycle + burst;
         if let Some(act_at) = issue.act_at {
@@ -618,12 +705,69 @@ impl MemoryController {
     }
 }
 
-/// The full-queue rescan that the incremental per-bank state replaced,
-/// kept as the differential oracle: in test builds every candidate
-/// collection is checked against it.
+/// The full-queue rescan and candidate-list pick that the per-bank lists
+/// and the one-pass pick replaced, kept as the differential oracle: in test
+/// builds every scheduling decision is checked against them.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::*;
+    use crate::policy::Ranking;
+
+    /// One issuable request, as a candidate list held it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Candidate {
+        /// Index of the request in the channel queue.
+        pub(crate) queue_idx: usize,
+        pub(crate) source: SourceId,
+        /// Whether the request would hit in the currently open row.
+        pub(crate) row_hit: bool,
+        pub(crate) arrival: u64,
+    }
+
+    /// The candidate with the smallest key under `ranking`, as an index
+    /// into `cands`.
+    pub(crate) fn pick(ranking: &Ranking<'_>, cycle: u64, cands: &[Candidate]) -> Option<usize> {
+        let starved_before = ranking.starved_before(cycle);
+        cands
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| {
+                ranking.key(
+                    c.source,
+                    c.row_hit,
+                    c.arrival,
+                    c.queue_idx as u32,
+                    starved_before,
+                )
+            })
+            .map(|(i, _)| i)
+    }
+
+    /// The distinct sources of `cands` in ascending id order.
+    fn sources(cands: &[Candidate]) -> Vec<SourceId> {
+        let mut sources: Vec<SourceId> = cands.iter().map(|c| c.source).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        sources
+    }
+
+    /// A whole scheduling decision over a candidate list: `None` on an empty
+    /// list, else the policy's target pick (if its ranking picks one) and
+    /// then the smallest-ranked candidate.
+    pub(crate) fn choose(
+        policy: &mut dyn SchedulingPolicy,
+        cycle: u64,
+        cands: &[Candidate],
+        pending_per_source: &[usize],
+    ) -> Option<usize> {
+        if cands.is_empty() {
+            return None;
+        }
+        if policy.ranking().picks_target {
+            policy.pick_target(&sources(cands), pending_per_source);
+        }
+        pick(&policy.ranking(), cycle, cands)
+    }
 
     /// `act_is_legal` as first written: sorts every recorded ACT time.
     fn act_is_legal(acts: &[(u64, usize)], act_at: u64, group: usize, timing: &DramTiming) -> bool {
@@ -689,12 +833,8 @@ mod reference {
         true
     }
 
-    /// The rescan's candidate set as sorted `(queue_idx, row_hit)` pairs.
-    pub(super) fn candidates(
-        mc: &MemoryController,
-        ch_idx: usize,
-        cycle: u64,
-    ) -> Vec<(usize, bool)> {
+    /// The rescan's candidates, in queue order.
+    pub(crate) fn candidates(mc: &MemoryController, ch_idx: usize, cycle: u64) -> Vec<Candidate> {
         let channel = &mc.channels[ch_idx];
         let shield_rows = mc.policy.respects_open_rows();
         let pending_hits = if shield_rows {
@@ -707,40 +847,38 @@ mod reference {
             let q = &mc.slab[slot as usize];
             let pending_hit = pending_hits >> q.decoded.bank & 1 != 0;
             if is_schedulable(q, channel, pending_hit, shield_rows, cycle, &mc.config) {
-                let row_hit = channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row);
-                out.push((i, row_hit));
+                out.push(Candidate {
+                    queue_idx: i,
+                    source: q.req.source,
+                    row_hit: channel.banks[q.decoded.bank].open_row() == Some(q.decoded.row),
+                    arrival: q.req.arrival,
+                });
             }
         }
         out
     }
 
-    /// Panics unless `candidates` is the rescan's candidate set and every
-    /// per-bank list, count and recorded position of channel `ch_idx`
-    /// equals a from-scratch recount.
-    pub(super) fn check(
-        mc: &MemoryController,
-        ch_idx: usize,
-        cycle: u64,
-        candidates: &[Candidate],
-    ) {
+    /// Panics unless `picked` is the rescan's pick under the policy's
+    /// ranking (and, for a ranking that picks a target, the target was
+    /// picked from the rescan's sources), and every per-bank list, count
+    /// and recorded position of channel `ch_idx` equals a from-scratch
+    /// recount.
+    pub(super) fn check(mc: &MemoryController, ch_idx: usize, cycle: u64, picked: Option<usize>) {
         let channel = &mc.channels[ch_idx];
-        let mut got: Vec<(usize, bool)> = candidates
-            .iter()
-            .map(|c| (c.queue_idx, c.row_hit))
-            .collect();
-        got.sort_unstable();
-        assert_eq!(
-            got,
-            self::candidates(mc, ch_idx, cycle),
-            "candidate sets differ on channel {ch_idx} at cycle {cycle}"
-        );
-        for c in candidates {
-            let q = &mc.slab[channel.queue[c.queue_idx] as usize];
+        let cands = candidates(mc, ch_idx, cycle);
+        let ranking = mc.policy.ranking();
+        if ranking.picks_target && !cands.is_empty() {
             assert_eq!(
-                (c.source, c.arrival, c.bank, c.row),
-                (q.req.source, q.req.arrival, q.decoded.bank, q.decoded.row)
+                mc.issuable_sources,
+                sources(&cands),
+                "issuable sources differ on channel {ch_idx} at cycle {cycle}"
             );
         }
+        assert_eq!(
+            picked,
+            pick(&ranking, cycle, &cands).map(|i| cands[i].queue_idx),
+            "picks differ on channel {ch_idx} at cycle {cycle}"
+        );
 
         // (len, writes, hits) per bank, recounted from the queue.
         let mut recount = vec![(0u32, 0u32, 0u32); channel.banks.len()];
@@ -760,7 +898,11 @@ mod reference {
         for (b, queued) in channel.bank_queues.iter().enumerate() {
             let (len, writes, hits) = recount[b];
             assert_eq!(
-                (queued.slots.len() as u32, queued.writes, queued.hits),
+                (
+                    queued.slots.len() as u32,
+                    queued.writes,
+                    queued.hits.len() as u32
+                ),
                 (len, writes, hits),
                 "bank {b} counts drifted on channel {ch_idx} at cycle {cycle}"
             );
@@ -770,6 +912,15 @@ mod reference {
                 let q = &mc.slab[slot as usize];
                 assert_eq!((q.decoded.bank, q.bank_pos as usize), (b, pos));
                 assert_eq!(channel.queue.get(q.queue_pos as usize), Some(&slot));
+            }
+            // Right length, and every entry is a listed open-row request
+            // at its recorded position: the hit list is exactly the hits.
+            let open_row = channel.banks[b].open_row();
+            for (pos, &slot) in queued.hits.iter().enumerate() {
+                let q = &mc.slab[slot as usize];
+                assert_eq!(q.hit_pos as usize, pos, "stale hit position");
+                assert_eq!(Some(q.decoded.row), open_row, "hit list holds a miss");
+                assert_eq!(queued.slots.get(q.bank_pos as usize), Some(&slot));
             }
             if len > 0 {
                 occupied |= 1 << b;
@@ -950,11 +1101,220 @@ mod tests {
         assert!(s.max_latency >= 3 * mc.config().burst_cycles());
     }
 
+    /// The address of `column` of `row` in `bank` of channel 0 under the
+    /// default mapping.
+    fn addr_in(mc: &MemoryController, bank: usize, row: u64, column: u64) -> u64 {
+        let config = mc.config();
+        let (channels, banks) = (config.channels as u64, config.banks_per_channel as u64);
+        let bank_raw = (bank as u64 ^ row) % banks;
+        let blk = (row * banks + bank_raw) * config.columns_per_row() + column;
+        let addr = blk * channels * u64::from(config.line_bytes);
+        let d = mc.mapping.decode(addr, config);
+        assert_eq!((d.channel, d.bank, d.row), (0, bank, row));
+        addr
+    }
+
+    /// Ticks `mc` through `cycles`, dropping completions.
+    fn tick_through(mc: &mut MemoryController, cycles: std::ops::Range<u64>) {
+        let mut done = Vec::new();
+        for cycle in cycles {
+            mc.tick_into(cycle, &mut done);
+            done.clear();
+        }
+    }
+
+    #[test]
+    fn refresh_empties_every_hit_list() {
+        let mut mc = controller(PolicyKind::FrFcfs);
+        let t_refi = mc.config().timing.t_refi;
+        let banks = mc.config().banks_per_channel;
+        let mut id = 0u64;
+        let mut hits_before = 0;
+        for cycle in 0..=t_refi {
+            // Keep every bank of channel 0 streaming hits to one row.
+            for bank in 0..banks {
+                let addr = addr_in(&mc, bank, 5, id % 64);
+                if mc
+                    .try_enqueue(MemoryRequest::read(id, SourceId(bank % 3), addr, cycle))
+                    .is_ok()
+                {
+                    id += 1;
+                }
+            }
+            if cycle == t_refi {
+                hits_before = mc.channels[0]
+                    .bank_queues
+                    .iter()
+                    .map(|q| q.hits.len())
+                    .sum();
+            }
+            mc.tick_into(cycle, &mut Vec::new());
+        }
+        assert!(hits_before > 0, "no queued hits before the refresh");
+        for (b, queued) in mc.channels[0].bank_queues.iter().enumerate() {
+            assert_eq!(mc.channels[0].banks[b].open_row(), None);
+            assert!(queued.hits.is_empty(), "bank {b} kept {:?}", queued.hits);
+        }
+        // The former hits are still queued, now as misses.
+        assert!(mc.channels[0].queue.len() >= hits_before);
+    }
+
+    #[test]
+    fn conflict_after_the_row_streak_cap_rebuilds_the_hit_list() {
+        let mut mc = controller(PolicyKind::Atlas);
+        let (row_a, row_b) = (3, 9);
+        let start = 10_000;
+        for i in 0..70 {
+            let addr = addr_in(&mc, 0, row_a, i % 64);
+            mc.try_enqueue(MemoryRequest::read(i, SourceId(1), addr, start))
+                .unwrap();
+        }
+        // The first request opens row A.
+        tick_through(&mut mc, start..start + 1);
+        // A request for row B waiting far past ATLAS's starvation threshold
+        // ranks first as soon as it may issue, plus three younger row-B
+        // requests that become hits once it opens row B.
+        let old = MemoryRequest::read(100, SourceId(0), addr_in(&mc, 0, row_b, 0), 0);
+        mc.try_enqueue(old).unwrap();
+        for i in 0..3 {
+            let addr = addr_in(&mc, 0, row_b, 1 + i);
+            mc.try_enqueue(MemoryRequest::read(101 + i, SourceId(2), addr, start))
+                .unwrap();
+        }
+        let mut cycle = start + 1;
+        while mc
+            .stats()
+            .per_source
+            .get(&SourceId(0))
+            .map_or(0, |s| s.served)
+            == 0
+        {
+            tick_through(&mut mc, cycle..cycle + 1);
+            cycle += 1;
+            assert!(cycle < start + 5_000, "the conflict never issued");
+        }
+        // Row A's pending hits shielded it for exactly the streak cap.
+        let a = &mc.stats().per_source[&SourceId(1)];
+        assert_eq!((a.row_misses, a.row_hits), (1, ROW_STREAK_CAP));
+        assert_eq!(mc.stats().per_source[&SourceId(0)].row_conflicts, 1);
+        let channel = &mc.channels[0];
+        assert_eq!(channel.banks[0].open_row(), Some(row_b));
+        let queued = &channel.bank_queues[0];
+        let mut hit_ids: Vec<u64> = queued
+            .hits
+            .iter()
+            .map(|&slot| mc.slab[slot as usize].req.id)
+            .collect();
+        hit_ids.sort_unstable();
+        assert_eq!(hit_ids, [101, 102, 103]);
+        assert_eq!(queued.slots.len(), 3 + 70 - 1 - ROW_STREAK_CAP as usize);
+    }
+
+    #[test]
+    fn a_bank_inside_its_twtr_window_offers_only_its_writes() {
+        let mut mc = controller(PolicyKind::FrFcfs);
+        let mut first = MemoryRequest::read(0, SourceId(0), addr_in(&mc, 0, 4, 0), 0);
+        first.kind = ReqKind::Write;
+        mc.try_enqueue(first).unwrap();
+        tick_through(&mut mc, 0..1);
+        assert_eq!(mc.pending(), 0);
+        // An older read and a younger write, both hits on the open row.
+        mc.try_enqueue(MemoryRequest::read(
+            1,
+            SourceId(0),
+            addr_in(&mc, 0, 4, 1),
+            1,
+        ))
+        .unwrap();
+        let mut write = MemoryRequest::read(2, SourceId(1), addr_in(&mc, 0, 4, 2), 2);
+        write.kind = ReqKind::Write;
+        mc.try_enqueue(write).unwrap();
+        let offered = |mc: &MemoryController, cycle| {
+            let mut ids = Vec::new();
+            mc.visit_issuable(0, cycle, |q, row_hit| ids.push((q.req.id, row_hit)));
+            ids.sort_unstable();
+            ids
+        };
+        let bank = mc.channels[0].banks[0];
+        let cycle = (1..1_000).find(|&c| bank.is_ready(c)).unwrap();
+        assert!(!bank.is_ready_for(ReqKind::Read, cycle), "no tWTR window");
+        assert_eq!(offered(&mc, cycle), [(2, true)]);
+        let after = (cycle..1_000)
+            .find(|&c| bank.is_ready_for(ReqKind::Read, c))
+            .unwrap();
+        assert_eq!(offered(&mc, after), [(1, true), (2, true)]);
+        // FR-FCFS would take the older read; the window leaves the write.
+        tick_through(&mut mc, 1..cycle + 1);
+        assert_eq!(mc.stats().per_source[&SourceId(1)].served, 1);
+        assert_eq!(mc.pending_for(SourceId(0)), 1);
+    }
+
+    /// SMS behind a counter of its target picks.
+    #[derive(Debug)]
+    struct CountedSms {
+        sms: crate::policy::Sms,
+        picks: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl SchedulingPolicy for CountedSms {
+        fn name(&self) -> &'static str {
+            self.sms.name()
+        }
+        fn ranking(&self) -> crate::policy::Ranking<'_> {
+            self.sms.ranking()
+        }
+        fn pick_target(&mut self, issuable: &[SourceId], pending_per_source: &[usize]) {
+            self.picks
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.sms.pick_target(issuable, pending_per_source);
+        }
+        fn on_enqueue(&mut self, source: SourceId) {
+            self.sms.on_enqueue(source);
+        }
+        fn on_served(&mut self, source: SourceId, bytes: u64) {
+            self.sms.on_served(source, bytes);
+        }
+        fn on_cycle(&mut self, cycle: u64) {
+            self.sms.on_cycle(cycle);
+        }
+    }
+
+    #[test]
+    fn sms_draws_only_on_opportunities_with_an_issuable_request() {
+        let picks = std::sync::Arc::default();
+        let policy = CountedSms {
+            sms: crate::policy::Sms::new(0.5, 3),
+            picks: std::sync::Arc::clone(&picks),
+        };
+        let mut mc = MemoryController::new(DramConfig::cmp_study(), Box::new(policy));
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut done = Vec::new();
+        for cycle in 0..6_000u64 {
+            // Bursts to a few banks, then quiet spells.
+            if cycle % 400 < 100 {
+                let line = rng.gen_range(0..4_096u64) * 7;
+                let source = SourceId(rng.gen_range(0..6usize));
+                let _ = mc.try_enqueue(MemoryRequest::read(cycle, source, line * 64, cycle));
+            }
+            mc.tick_into(cycle, &mut done);
+        }
+        let sched = &mc.stats().scheduler;
+        assert!(sched.no_candidate > 0 && sched.idle > 0, "{sched:?}");
+        // One target pick (one RNG draw) per issue: none when nothing could
+        // issue, and none on idle or bus-blocked cycles.
+        assert_eq!(
+            picks.load(std::sync::atomic::Ordering::Relaxed),
+            sched.issued
+        );
+    }
+
     proptest! {
-        /// Differential oracle: random bursty traffic over random
-        /// geometries and every policy. Each candidate collection inside
-        /// `tick_into` is checked against the full-queue rescan, and every
-        /// per-bank list and count against a recount (`reference::check`).
+        /// Differential oracle: random bursty traffic from 1–20 sources
+        /// (some with sparse ids, past the end of every policy table) over
+        /// random geometries and every policy. Each scheduling decision
+        /// inside `tick_into` is checked against the full-queue rescan and
+        /// the candidate-list pick, and every per-bank list and count
+        /// against a recount (`reference::check`).
         #[test]
         fn incremental_candidates_match_the_full_rescan(
             channels in 1usize..=8,
@@ -963,8 +1323,17 @@ mod tests {
             refresh in any::<bool>(),
             policy in 0usize..5,
             capacity in 4usize..=48,
+            n_sources in 1usize..=20,
+            sparse in any::<bool>(),
             seed in any::<u64>(),
         ) {
+            // Dense ids 0..n, or with the last two replaced by 63 and 1000.
+            let mut sources: Vec<usize> = (0..n_sources).collect();
+            if sparse {
+                for (s, id) in sources.iter_mut().rev().zip([1_000, 63]) {
+                    *s = id;
+                }
+            }
             let mut config = DramConfig::cmp_study();
             config.channels = channels;
             config.banks_per_channel = banks;
@@ -990,7 +1359,7 @@ mod tests {
                     } else {
                         rng.gen_range(0..1u64 << 22)
                     };
-                    let source = SourceId(rng.gen_range(0..4usize));
+                    let source = SourceId(sources[rng.gen_range(0..n_sources)]);
                     let mut req = MemoryRequest::read(id, source, line * 64, cycle);
                     if rng.gen_range(0..100u32) < write_pct {
                         req.kind = ReqKind::Write;

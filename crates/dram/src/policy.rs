@@ -10,19 +10,21 @@
 //! | [`Tcm`] | latency/bandwidth clustering + rank shuffle | Kim et al., MICRO'10 |
 //! | [`Sms`] | batch formation + probabilistic shortest-first | Ausavarungnirun et al., ISCA'12 |
 //!
-//! Each policy selects, once per scheduling opportunity, one request among
-//! the *issuable* candidates of a channel (requests whose bank is free).
-//! Policies keep their own per-source state (attained service, intensity,
-//! cluster membership) and are notified of enqueue/serve events by the
-//! controller. Source ids are small dense integers, so that state lives in
-//! tables indexed by `SourceId.0`; an id past a table's end reads as a
-//! source the policy has never seen.
+//! Each policy orders, once per scheduling opportunity, the *issuable*
+//! requests of a channel (requests whose bank gates let them issue) by
+//! handing the controller a [`Ranking`]; the controller issues the
+//! smallest-ranked one. Policies keep their own per-source state (attained
+//! service, intensity, cluster membership) and are notified of
+//! enqueue/serve events by the controller. Source ids are small dense
+//! integers, so that state lives in tables indexed by `SourceId.0`; an id
+//! past a table's end reads as a source the policy has never seen.
 //!
 //! [`Fcfs`]: crate::policy::Fcfs
 //! [`FrFcfs`]: crate::policy::FrFcfs
 //! [`Atlas`]: crate::policy::Atlas
 //! [`Tcm`]: crate::policy::Tcm
 //! [`Sms`]: crate::policy::Sms
+//! [`Ranking`]: crate::policy::Ranking
 
 use crate::request::SourceId;
 use rand::rngs::SmallRng;
@@ -30,59 +32,127 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// One issuable request presented to a scheduling policy.
+/// How a policy orders the issuable requests of a channel at one
+/// scheduling opportunity. The controller issues the request with the
+/// smallest key
 ///
-/// A channel's candidates arrive in no particular order (the controller
-/// currently groups them by bank). `(arrival, queue_idx)` is unique among
-/// them, and every built-in policy breaks its final tie on it, so its pick
-/// does not depend on the order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Candidate {
-    /// Index of the request in the channel queue (returned by `choose`).
-    pub queue_idx: usize,
-    /// Source that issued the request.
-    pub source: SourceId,
-    /// Whether the request would hit in the currently open row.
-    pub row_hit: bool,
-    /// Cycle the request entered the queue.
-    pub arrival: u64,
-    /// Target bank within the channel.
-    pub bank: usize,
-    /// Target row.
-    pub row: u64,
+/// `(class, row miss, arrival, queue_idx)`
+///
+/// where a request waiting longer than `starvation_age` has class 0 and
+/// counts no row miss (so over-age requests go first, oldest first), every
+/// other request has class `1 + classes[source]`, and a row miss counts
+/// only when `row_hits_first`. `queue_idx` is the request's index in the
+/// channel queue, so `(arrival, queue_idx)` is unique and the pick does not
+/// depend on the order the controller visits requests in.
+#[derive(Debug, Clone, Copy)]
+pub struct Ranking<'a> {
+    /// Class per source, indexed by `SourceId.0`; lower goes first.
+    pub classes: &'a [u32],
+    /// Class of a source past the end of `classes`.
+    pub unlisted: u32,
+    /// Whether a row hit goes before a row miss of the same class.
+    pub row_hits_first: bool,
+    /// Requests older than this many cycles go before every other request.
+    pub starvation_age: Option<u64>,
+    /// Whether `classes` depends on which sources have an issuable request:
+    /// the controller then calls [`SchedulingPolicy::pick_target`] before it
+    /// reads the ranking for its pick.
+    pub picks_target: bool,
 }
 
-/// Everything a policy may inspect when choosing the next request.
-#[derive(Debug)]
-pub struct ScheduleInput<'a> {
-    /// Current memory-controller cycle.
-    pub cycle: u64,
-    /// Issuable requests (banks free) in this channel.
-    pub candidates: &'a [Candidate],
-    /// Number of pending (queued, not yet served) requests per source across
-    /// the whole controller, indexed by `SourceId.0` (ids past the end have
-    /// none); used by SMS's shortest-job-first stage.
-    pub pending_per_source: &'a [usize],
+/// A request's rank under a [`Ranking`]: `(not over-age, class, row miss,
+/// arrival, queue_idx)`, packed from the top bit down into 1, 32, 1, 64 and
+/// 30 bits so that one integer comparison orders two requests. The
+/// smallest key is issued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct RankKey(u128);
+
+impl RankKey {
+    /// Bits of the queue index: a channel queue holds fewer requests.
+    pub(crate) const QUEUE_BITS: u32 = 30;
+    const CLASS_SHIFT: u32 = 95;
+    /// Above every key of a request (its queue index would need all 30
+    /// bits set): the minimum of an empty set.
+    pub(crate) const NONE: RankKey = RankKey(u128::MAX);
+
+    /// The queue index of the ranked request.
+    pub(crate) fn queue_idx(self) -> usize {
+        (self.0 & ((1 << Self::QUEUE_BITS) - 1)) as usize
+    }
+
+    /// The same request's key with its source in `class` (an over-age
+    /// request has no class).
+    pub(crate) fn with_class(self, class: u32) -> RankKey {
+        if self.0 >> 127 == 0 {
+            return self;
+        }
+        let mask = u128::from(u32::MAX) << Self::CLASS_SHIFT;
+        RankKey(self.0 & !mask | u128::from(class) << Self::CLASS_SHIFT)
+    }
+}
+
+impl Ranking<'_> {
+    /// Requests that arrived before the returned cycle are over-age at
+    /// `cycle`.
+    pub(crate) fn starved_before(&self, cycle: u64) -> u64 {
+        self.starvation_age
+            .map_or(0, |age| cycle.saturating_sub(age))
+    }
+
+    /// The class of `source`.
+    #[inline]
+    pub(crate) fn class(&self, source: SourceId) -> u32 {
+        self.classes.get(source.0).copied().unwrap_or(self.unlisted)
+    }
+
+    /// The key of one request; `starved_before` is
+    /// [`Ranking::starved_before`] of the current cycle.
+    #[inline]
+    pub(crate) fn key(
+        &self,
+        source: SourceId,
+        row_hit: bool,
+        arrival: u64,
+        queue_idx: u32,
+        starved_before: u64,
+    ) -> RankKey {
+        let tail = u128::from(arrival) << RankKey::QUEUE_BITS | u128::from(queue_idx);
+        if arrival < starved_before {
+            RankKey(tail)
+        } else {
+            let miss = self.row_hits_first && !row_hit;
+            RankKey(
+                1 << 127
+                    | u128::from(self.class(source)) << RankKey::CLASS_SHIFT
+                    | u128::from(miss) << 94
+                    | tail,
+            )
+        }
+    }
 }
 
 /// A memory-request scheduling discipline.
 ///
-/// This trait is sealed in spirit: the controller only exercises the
+/// A policy does not see the candidate requests. It hands the controller a
+/// [`Ranking`] instead, and the controller issues the smallest-ranked
+/// issuable request in the same pass that applies the bank gates. This
+/// trait is sealed in spirit: the controller only exercises the
 /// implementations in this module, but it is left open so experiments can
 /// plug in custom disciplines (e.g. for ablations).
 pub trait SchedulingPolicy: fmt::Debug + Send {
     /// Human-readable policy name (matches the paper's Table 2 labels).
     fn name(&self) -> &'static str;
 
-    /// Picks the index (into `input.candidates`) of the request to issue,
-    /// or `None` to idle this opportunity. An empty candidate list must
-    /// return `None`.
-    ///
-    /// The order of `input.candidates` is unspecified. A policy should
-    /// break its final tie on `(arrival, queue_idx)`, which is unique per
-    /// candidate, so that permuting the slice does not change which
-    /// request (by `queue_idx`) it picks.
-    fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize>;
+    /// How this opportunity's issuable requests are ordered.
+    fn ranking(&self) -> Ranking<'_>;
+
+    /// Picks this opportunity's target among `issuable`, the distinct
+    /// sources with an issuable request in ascending id order, given the
+    /// controller-wide queued requests per source (indexed by `SourceId.0`;
+    /// ids past the end have none). Called only when the ranking
+    /// [`picks_target`](Ranking::picks_target), and only on opportunities
+    /// with at least one issuable request, so `issuable` is never empty.
+    fn pick_target(&mut self, _issuable: &[SourceId], _pending_per_source: &[usize]) {}
 
     /// Notification: a request from `source` entered the queue.
     fn on_enqueue(&mut self, _source: SourceId) {}
@@ -168,17 +238,6 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// Index of the candidate with the smallest `key`, in one pass. Every
-/// built-in policy ends its key with `(arrival, queue_idx)`, so the pick is
-/// independent of candidate order.
-fn pick_min<K: Ord>(cands: &[Candidate], key: impl Fn(&Candidate) -> K) -> Option<usize> {
-    cands
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, c)| key(c))
-        .map(|(i, _)| i)
-}
-
 /// First-come-first-serve: requests are served strictly in arrival order
 /// with no locality awareness.
 ///
@@ -199,8 +258,14 @@ impl SchedulingPolicy for Fcfs {
         "FCFS"
     }
 
-    fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        pick_min(input.candidates, |c| (c.arrival, c.queue_idx))
+    fn ranking(&self) -> Ranking<'_> {
+        Ranking {
+            classes: &[],
+            unlisted: 0,
+            row_hits_first: false,
+            starvation_age: None,
+            picks_target: false,
+        }
     }
 
     fn respects_open_rows(&self) -> bool {
@@ -227,8 +292,14 @@ impl SchedulingPolicy for FrFcfs {
         "FR-FCFS"
     }
 
-    fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        pick_min(input.candidates, |c| (!c.row_hit, c.arrival, c.queue_idx))
+    fn ranking(&self) -> Ranking<'_> {
+        Ranking {
+            classes: &[],
+            unlisted: 0,
+            row_hits_first: true,
+            starvation_age: None,
+            picks_target: false,
+        }
     }
 }
 
@@ -256,7 +327,7 @@ pub struct Atlas {
     service: Vec<Option<(f64, f64)>>,
     /// This epoch's rank per source; sources first seen after the last
     /// recomputation (or past the end) rank 0.
-    rank: Vec<usize>,
+    rank: Vec<u32>,
     next_quantum: u64,
     next_epoch: u64,
 }
@@ -289,7 +360,8 @@ impl Atlas {
     /// Rank of a source at the current epoch (0 = highest priority);
     /// unknown sources get top priority, as in the original (new threads
     /// have attained no service yet).
-    fn rank_of(&self, source: SourceId) -> usize {
+    #[cfg(test)]
+    fn rank_of(&self, source: SourceId) -> u32 {
         self.rank.get(source.0).copied().unwrap_or(0)
     }
 
@@ -304,7 +376,7 @@ impl Atlas {
         self.rank.clear();
         self.rank.resize(self.service.len(), 0);
         for (r, (s, _)) in by_service.into_iter().enumerate() {
-            self.rank[s.0] = r;
+            self.rank[s.0] = r as u32;
         }
     }
 
@@ -333,23 +405,17 @@ impl SchedulingPolicy for Atlas {
         "ATLAS"
     }
 
-    fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
+    fn ranking(&self) -> Ranking<'_> {
         // (1) Over-threshold requests, oldest first; otherwise (2) the
         // best-ranked (least-attained-service) source — ranks are fixed
         // within the epoch — then (3) row hit, (4) oldest.
-        pick_min(input.candidates, |c| {
-            if input.cycle.saturating_sub(c.arrival) > self.threshold_cycles {
-                (false, 0, false, c.arrival, c.queue_idx)
-            } else {
-                (
-                    true,
-                    self.rank_of(c.source),
-                    !c.row_hit,
-                    c.arrival,
-                    c.queue_idx,
-                )
-            }
-        })
+        Ranking {
+            classes: &self.rank,
+            unlisted: 0,
+            row_hits_first: true,
+            starvation_age: Some(self.threshold_cycles),
+            picks_target: false,
+        }
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
@@ -395,10 +461,11 @@ pub struct Tcm {
     served_current: Vec<Option<u64>>,
     /// The bandwidth-sensitive cluster in (shuffled) rank order.
     bw_rank: Vec<SourceId>,
-    /// Per-source priority class, `(bandwidth cluster?, rank)`, rebuilt on
-    /// every re-clustering and shuffle. Sources clustered nowhere yet (or
-    /// past the end) read [`Tcm::UNCLUSTERED`].
-    class: Vec<(bool, usize)>,
+    /// Per-source priority class ([`Tcm::LATENCY`], or
+    /// [`Tcm::bandwidth_class`] of the source's rank), rebuilt on every
+    /// re-clustering and shuffle. Sources clustered nowhere yet (or past the
+    /// end) read [`Tcm::UNCLUSTERED`].
+    class: Vec<u32>,
     next_quantum: u64,
     next_shuffle: u64,
     rng: SmallRng,
@@ -426,11 +493,18 @@ impl Tcm {
     }
 
     /// Class of a source in neither cluster: behind every ranked source.
-    const UNCLUSTERED: (bool, usize) = (true, usize::MAX);
+    const UNCLUSTERED: u32 = u32::MAX;
     /// Class of a latency-sensitive source: ahead of the bandwidth cluster.
-    const LATENCY: (bool, usize) = (false, 0);
+    const LATENCY: u32 = 0;
 
-    fn class_of(&self, source: SourceId) -> (bool, usize) {
+    /// Class of the bandwidth-cluster source of rank `rank`: behind the
+    /// latency-sensitive cluster, ahead of unclustered sources.
+    fn bandwidth_class(rank: usize) -> u32 {
+        rank as u32 + 1
+    }
+
+    #[cfg(test)]
+    fn class_of(&self, source: SourceId) -> u32 {
         self.class
             .get(source.0)
             .copied()
@@ -479,7 +553,7 @@ impl Tcm {
     /// Writes the bandwidth cluster's current order into the class table.
     fn rank_bandwidth_cluster(&mut self) {
         for (rank, src) in self.bw_rank.iter().enumerate() {
-            self.class[src.0] = (true, rank);
+            self.class[src.0] = Self::bandwidth_class(rank);
         }
     }
 }
@@ -498,12 +572,16 @@ impl SchedulingPolicy for Tcm {
         "TCM"
     }
 
-    fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
+    fn ranking(&self) -> Ranking<'_> {
         // (1) Latency-sensitive cluster first, else (2) the highest-ranked
         // bandwidth-cluster source; then (3) row hit, (4) oldest.
-        pick_min(input.candidates, |c| {
-            (self.class_of(c.source), !c.row_hit, c.arrival, c.queue_idx)
-        })
+        Ranking {
+            classes: &self.class,
+            unlisted: Self::UNCLUSTERED,
+            row_hits_first: true,
+            starvation_age: None,
+            picks_target: false,
+        }
     }
 
     fn on_enqueue(&mut self, source: SourceId) {
@@ -532,17 +610,19 @@ impl SchedulingPolicy for Tcm {
 /// Requests are conceptually grouped into per-source same-row batches; the
 /// scheduler then picks, with probability `p`, the source with the shortest
 /// outstanding work (favouring latency-sensitive sources) and otherwise
-/// round-robins across sources (fairness). Within the selected source, the
-/// oldest request goes first so batches drain in order.
+/// round-robins across sources (fairness). Within the selected source, row
+/// hits and then the oldest requests go first so batches drain in order.
 #[derive(Debug)]
 pub struct Sms {
     /// Probability of the shortest-job-first stage (the paper's `p`).
     pub p_shortest: f64,
     round_robin_next: usize,
     rng: SmallRng,
-    /// Reusable buffer of the distinct candidate sources (round-robin
-    /// stage), so choosing never allocates in steady state.
-    sources: Vec<SourceId>,
+    /// Per-source class: [`Sms::TARGET`] for this opportunity's target,
+    /// [`Sms::OTHER`] for every other source (and past the end).
+    class: Vec<u32>,
+    /// The source whose `class` entry is [`Sms::TARGET`].
+    target: Option<SourceId>,
 }
 
 impl Sms {
@@ -556,9 +636,15 @@ impl Sms {
             p_shortest,
             round_robin_next: 0,
             rng: SmallRng::seed_from_u64(seed),
-            sources: Vec::new(),
+            class: Vec::new(),
+            target: None,
         }
     }
+
+    /// Class of the target source: its requests go first.
+    const TARGET: u32 = 0;
+    /// Class of every other source.
+    const OTHER: u32 = 1;
 }
 
 impl Default for Sms {
@@ -572,39 +658,44 @@ impl SchedulingPolicy for Sms {
         "SMS"
     }
 
-    fn choose(&mut self, input: &ScheduleInput<'_>) -> Option<usize> {
-        let cands = input.candidates;
-        if cands.is_empty() {
-            return None;
+    fn ranking(&self) -> Ranking<'_> {
+        // Within the target source: row hit, then oldest.
+        Ranking {
+            classes: &self.class,
+            unlisted: Self::OTHER,
+            row_hits_first: true,
+            starvation_age: None,
+            picks_target: true,
         }
+    }
+
+    fn pick_target(&mut self, issuable: &[SourceId], pending_per_source: &[usize]) {
         let target = if self.rng.gen_bool(self.p_shortest) {
             // Shortest job first: least pending work controller-wide.
-            // `cands` is non-empty, so the min exists; `?` keeps the
-            // no-candidate contract without a panic path.
-            cands
+            issuable
                 .iter()
-                .map(|c| c.source)
-                .min_by_key(|s| (input.pending_per_source.get(s.0).copied().unwrap_or(0), *s))?
+                .copied()
+                .min_by_key(|s| (pending_per_source.get(s.0).copied().unwrap_or(0), *s))
         } else {
             // Round-robin across currently present sources, in id order.
-            self.sources.clear();
-            self.sources.extend(cands.iter().map(|c| c.source));
-            self.sources.sort_unstable();
-            self.sources.dedup();
-            let idx = self.round_robin_next % self.sources.len();
+            let idx = self.round_robin_next % issuable.len().max(1);
             self.round_robin_next = self.round_robin_next.wrapping_add(1);
-            self.sources[idx]
+            issuable.get(idx).copied()
         };
-        // Within the target source: row hit, then oldest.
-        pick_min(cands, |c| {
-            (c.source != target, !c.row_hit, c.arrival, c.queue_idx)
-        })
+        if let Some(old) = self.target.take() {
+            self.class[old.0] = Self::OTHER;
+        }
+        if let Some(new) = target {
+            *new.slot(&mut self.class, Self::OTHER) = Self::TARGET;
+            self.target = Some(new);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::reference::{choose, Candidate};
 
     fn cand(queue_idx: usize, source: usize, row_hit: bool, arrival: u64) -> Candidate {
         Candidate {
@@ -612,16 +703,6 @@ mod tests {
             source: SourceId(source),
             row_hit,
             arrival,
-            bank: 0,
-            row: 0,
-        }
-    }
-
-    fn input<'a>(cycle: u64, cands: &'a [Candidate], pending: &'a [usize]) -> ScheduleInput<'a> {
-        ScheduleInput {
-            cycle,
-            candidates: cands,
-            pending_per_source: pending,
         }
     }
 
@@ -630,7 +711,7 @@ mod tests {
         let pending: [usize; 0] = [];
         for kind in PolicyKind::all() {
             let mut p = kind.instantiate();
-            assert_eq!(p.choose(&input(0, &[], &pending)), None, "{kind}");
+            assert_eq!(choose(p.as_mut(), 0, &[], &pending), None, "{kind}");
         }
     }
 
@@ -640,7 +721,7 @@ mod tests {
         let cands = [cand(3, 0, false, 10)];
         for kind in PolicyKind::all() {
             let mut p = kind.instantiate();
-            assert_eq!(p.choose(&input(20, &cands, &pending)), Some(0), "{kind}");
+            assert_eq!(choose(p.as_mut(), 20, &cands, &pending), Some(0), "{kind}");
         }
     }
 
@@ -649,7 +730,7 @@ mod tests {
         let pending: [usize; 0] = [];
         let cands = [cand(0, 0, true, 20), cand(1, 1, false, 10)];
         let mut p = Fcfs::new();
-        assert_eq!(p.choose(&input(30, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 30, &cands, &pending), Some(1));
     }
 
     #[test]
@@ -657,7 +738,7 @@ mod tests {
         let pending: [usize; 0] = [];
         let cands = [cand(0, 0, true, 20), cand(1, 1, false, 10)];
         let mut p = FrFcfs::new();
-        assert_eq!(p.choose(&input(30, &cands, &pending)), Some(0));
+        assert_eq!(choose(&mut p, 30, &cands, &pending), Some(0));
     }
 
     #[test]
@@ -665,7 +746,7 @@ mod tests {
         let pending: [usize; 0] = [];
         let cands = [cand(0, 0, false, 20), cand(1, 1, false, 10)];
         let mut p = FrFcfs::new();
-        assert_eq!(p.choose(&input(30, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 30, &cands, &pending), Some(1));
     }
 
     #[test]
@@ -677,7 +758,7 @@ mod tests {
         p.on_enqueue(SourceId(1));
         p.on_cycle(0); // recompute ranks for the epoch
         let cands = [cand(0, 0, true, 5), cand(1, 1, false, 10)];
-        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 50, &cands, &pending), Some(1));
     }
 
     #[test]
@@ -689,7 +770,7 @@ mod tests {
         p.on_cycle(0);
         // Source 0's request is over the 100-cycle threshold.
         let cands = [cand(0, 0, false, 0), cand(1, 1, true, 190)];
-        assert_eq!(p.choose(&input(200, &cands, &pending)), Some(0));
+        assert_eq!(choose(&mut p, 200, &cands, &pending), Some(0));
     }
 
     #[test]
@@ -703,11 +784,11 @@ mod tests {
         // Serving source 1 repeatedly does not flip the rank until the next
         // epoch boundary.
         for _ in 0..10 {
-            assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1));
+            assert_eq!(choose(&mut p, 50, &cands, &pending), Some(1));
             p.on_served(SourceId(1), 1_000_000_000);
         }
         p.on_cycle(p.epoch_cycles + 1);
-        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(0));
+        assert_eq!(choose(&mut p, 50, &cands, &pending), Some(0));
     }
 
     #[test]
@@ -726,7 +807,7 @@ mod tests {
         let pending: [usize; 0] = [];
         let mut p = Atlas::default();
         let cands = [cand(0, 0, false, 5), cand(1, 1, true, 10)];
-        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 50, &cands, &pending), Some(1));
     }
 
     #[test]
@@ -740,9 +821,9 @@ mod tests {
         p.on_served(SourceId(0), 64);
         p.on_cycle(p.quantum_cycles); // reform clusters
         assert_eq!(p.class_of(SourceId(0)), Tcm::LATENCY);
-        assert_eq!(p.class_of(SourceId(1)), (true, 0));
+        assert_eq!(p.class_of(SourceId(1)), Tcm::bandwidth_class(0));
         let cands = [cand(0, 1, true, 0), cand(1, 0, false, 50)];
-        assert_eq!(p.choose(&input(60_000, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 60_000, &cands, &pending), Some(1));
     }
 
     #[test]
@@ -774,7 +855,7 @@ mod tests {
         let pending = [100, 2];
         let mut p = Sms::new(1.0, 42); // always shortest-first
         let cands = [cand(0, 0, true, 0), cand(1, 1, false, 50)];
-        assert_eq!(p.choose(&input(60, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 60, &cands, &pending), Some(1));
     }
 
     #[test]
@@ -782,8 +863,8 @@ mod tests {
         let pending: [usize; 0] = [];
         let mut p = Sms::new(0.0, 42); // always round-robin
         let cands = [cand(0, 0, false, 0), cand(1, 1, false, 0)];
-        let first = p.choose(&input(10, &cands, &pending)).unwrap();
-        let second = p.choose(&input(11, &cands, &pending)).unwrap();
+        let first = choose(&mut p, 10, &cands, &pending).unwrap();
+        let second = choose(&mut p, 11, &cands, &pending).unwrap();
         assert_ne!(cands[first].source, cands[second].source);
     }
 
@@ -824,10 +905,8 @@ mod tests {
                 for i in (1..shuffled.len()).rev() {
                     shuffled.swap(i, rng.gen_range(0..=i));
                 }
-                let pick_a = a.choose(&input(cycle, &cands, &pending)).map(|i| cands[i]);
-                let pick_b = b
-                    .choose(&input(cycle, &shuffled, &pending))
-                    .map(|i| shuffled[i]);
+                let pick_a = choose(a.as_mut(), cycle, &cands, &pending).map(|i| cands[i]);
+                let pick_b = choose(b.as_mut(), cycle, &shuffled, &pending).map(|i| shuffled[i]);
                 assert_eq!(pick_a, pick_b, "{kind} round {round}");
                 if let Some(c) = pick_a {
                     a.on_served(c.source, 64);
@@ -855,13 +934,13 @@ mod tests {
         p.on_served(SourceId(7), 10_000_000);
         assert_eq!(p.rank_of(SourceId(7)), 0);
         let cands = [cand(0, 63, true, 5), cand(1, 1_000, false, 10)];
-        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 50, &cands, &pending), Some(1));
         let cands = [cand(0, 0, false, 5), cand(1, 7, true, 10)];
-        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(1), "rank tie");
+        assert_eq!(choose(&mut p, 50, &cands, &pending), Some(1), "rank tie");
         p.on_cycle(p.epoch_cycles);
         let ranks = [0, 63, 7].map(|s| p.rank_of(SourceId(s)));
         assert_eq!(ranks, [0, 1, 2], "least attained service first");
-        assert_eq!(p.choose(&input(50, &cands, &pending)), Some(0));
+        assert_eq!(choose(&mut p, 50, &cands, &pending), Some(0));
     }
 
     #[test]
@@ -877,8 +956,8 @@ mod tests {
         // Budget 151 * 4/24 = 25 requests: only the lightest source fits.
         assert_eq!(p.class_of(SourceId(0)), Tcm::LATENCY);
         assert_eq!(p.bw_rank, [SourceId(9), SourceId(63)]);
-        assert_eq!(p.class_of(SourceId(9)), (true, 0));
-        assert_eq!(p.class_of(SourceId(63)), (true, 1));
+        assert_eq!(p.class_of(SourceId(9)), Tcm::bandwidth_class(0));
+        assert_eq!(p.class_of(SourceId(63)), Tcm::bandwidth_class(1));
         for unseen in [1, 62, 64, 1_000] {
             assert_eq!(
                 p.class_of(SourceId(unseen)),
@@ -890,16 +969,16 @@ mod tests {
         p.on_enqueue(SourceId(30));
         assert_eq!(p.class_of(SourceId(30)), Tcm::UNCLUSTERED);
         let cands = [cand(0, 1_000, true, 0), cand(1, 63, false, 50)];
-        assert_eq!(p.choose(&input(9_000, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 9_000, &cands, &pending), Some(1));
         let cands = [cand(0, 9, true, 0), cand(1, 0, false, 50)];
-        assert_eq!(p.choose(&input(9_000, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 9_000, &cands, &pending), Some(1));
         // Every shuffle rewrites the ranks from the shuffled order.
         let mut t = p.quantum_cycles;
         for _ in 0..16 {
             t += p.shuffle_cycles;
             p.on_cycle(t);
             for (rank, src) in p.bw_rank.iter().enumerate() {
-                assert_eq!(p.class_of(*src), (true, rank));
+                assert_eq!(p.class_of(*src), Tcm::bandwidth_class(rank));
             }
             assert_eq!(p.class_of(SourceId(0)), Tcm::LATENCY);
         }
@@ -912,10 +991,10 @@ mod tests {
         pending[63] = 1;
         let mut p = Sms::new(1.0, 42); // always shortest-first
         let cands = [cand(0, 0, true, 0), cand(1, 63, false, 50)];
-        assert_eq!(p.choose(&input(60, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 60, &cands, &pending), Some(1));
         // An id past the end of the table has nothing pending.
         let cands = [cand(0, 63, true, 0), cand(1, 1_000, false, 50)];
-        assert_eq!(p.choose(&input(60, &cands, &pending)), Some(1));
+        assert_eq!(choose(&mut p, 60, &cands, &pending), Some(1));
     }
 
     #[test]

@@ -137,6 +137,11 @@ step doc    env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
   cargo doc --no-deps --workspace
 step doc-complete doc_complete
 step test   cargo test --release --workspace
+# The MC pick oracle at depth: every scheduling decision of the controller
+# tests is checked against the full-queue rescan and candidate-list pick
+# (`controller::reference`), here over 512 random property cases instead
+# of the default 64.
+step mc-oracle env PROPTEST_CASES=512 cargo test --release -p pccs-dram --lib controller
 
 if ((${#failed[@]})); then
   echo "FAILED: ${failed[*]}" >&2
