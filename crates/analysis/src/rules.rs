@@ -4,7 +4,7 @@
 //!
 //! | rule | scope | what it flags |
 //! |------|-------|---------------|
-//! | `hot-path-panic` | `dram`/`soc`/`core` non-test code | `.unwrap()`, `.expect(...)`, `panic!` — simulator hot paths must return errors. `assert!`/`debug_assert!`/`unreachable!` are deliberately *not* flagged: contract checks are welcome. |
+//! | `hot-path-panic` | `dram`/`soc`/`core`/`sched`/`serve` non-test code | `.unwrap()`, `.expect(...)`, `panic!` — simulator and replay hot paths must return errors. `assert!`/`debug_assert!`/`unreachable!` are deliberately *not* flagged: contract checks are welcome. |
 //! | `nondeterminism` | sim/experiment crates non-test code | `Instant::now`, `SystemTime`, `HashMap`, `HashSet`, `thread_rng` — results must be byte-identical across runs and `--jobs` settings. |
 //! | `raw-stderr` | `dram`/`soc`/`core`/`sched`/`experiments` library code | `println!`/`eprintln!`/`print!`/`eprint!` — library crates must route output through telemetry or return it to the CLI layer, not write to the process streams. |
 //! | `hot-loop-metrics` | `dram`/`soc` library code | `metrics::add`/`observe_max`/`counter`/`gauge` lexically inside a `for`/`while`/`loop` body — each call takes the registry lock, so per-cycle loops must accumulate locally and publish once after the loop (the §9 overhead budget depends on it). |
@@ -41,8 +41,8 @@ pub const RULE_NAMES: &[&str] = &[
     "dependency-cycle",
 ];
 
-/// Crates whose non-test code is a simulator hot path.
-const HOT_PATH_CRATES: &[&str] = &["dram", "soc", "core"];
+/// Crates whose non-test code is a simulator or replay hot path.
+const HOT_PATH_CRATES: &[&str] = &["dram", "soc", "core", "sched", "serve"];
 
 /// Crates whose non-test code must be deterministic.
 const DETERMINISTIC_CRATES: &[&str] = &[

@@ -9,16 +9,18 @@
 //! what makes the oracle policy affordable: its candidate probes and the
 //! engine's own measurements share the same simulations.
 //!
-//! The replay core — `InFlight` jobs, `build_input`, `any_free` and
-//! `advance` — is public because the online serving loop (`pccs-serve`)
-//! runs on it too; only arrival handling and completion bookkeeping differ
-//! between the two engines.
+//! The replay core — `ResolvedJob`s and their `Queued` views, `InFlight`
+//! jobs, `build_input`, `any_free` and `advance` — is public because the
+//! online serving loop (`pccs-serve`) runs on it too; only arrival
+//! handling and completion bookkeeping differ between the two engines.
+//! Its steady path clones no job or kernel and looks up no name: kernels
+//! are interned when a job enters the engine, the decision snapshot
+//! borrows from the jobs and is refilled in place each round, and co-run
+//! rates are read from the cache without copying.
 
 use crate::error::SchedError;
 use crate::job::Job;
-use crate::policy::{
-    DecisionInput, PendingJob, PhaseEstimate, PlacementOption, Policy, Probe, PuSlot, Resident,
-};
+use crate::policy::{DecisionInput, PhaseEstimate, Policy, Probe, PuSlot, Resident};
 use crate::report::{DecisionRecord, JobOutcome, ScheduleReport};
 use pccs_soc::corun::{CoRunConfig, CoRunSim, Placement};
 use pccs_soc::kernel::KernelDesc;
@@ -63,27 +65,49 @@ impl SchedConfig {
     }
 }
 
-/// Exact identity of a kernel in the probe caches: its interned name and
-/// the bits of its four parameters. Two kernels share a key exactly when
-/// they are equal (`KernelDesc: PartialEq`), so distinct kernels never
-/// alias onto one cached simulation.
+/// Exact identity of a kernel in the probe's interner: its interned name
+/// and the bits of its four parameters. Two kernels share a key exactly
+/// when they are equal (`KernelDesc: PartialEq`), so distinct kernels
+/// never alias onto one cached simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct KernelKey {
     name: usize,
     params: [u64; 4],
 }
 
+/// Dense id of a kernel interned by a [`SimProbe`]: two kernels get the
+/// same id exactly when they are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct KernelId(usize);
+
 /// The engine's probe: co-run rate measurements through [`CoRunSim`],
 /// cached by placement set.
+///
+/// Kernels are interned once, when a job enters the engine
+/// ([`ResolvedJob::new`]); decision rounds and time advances then look
+/// standalone profiles and co-run rates up by [`KernelId`], with no name
+/// lookup. The interner and both caches grow only with the number of
+/// distinct kernels (and placement sets of them).
 #[derive(Debug)]
 pub struct SimProbe<'a> {
     soc: &'a SocConfig,
     config: CoRunConfig,
     /// Interned kernel names; a name's id is its insertion index.
     names: BTreeMap<String, usize>,
-    /// Co-run rates keyed by the placement set, sorted by PU.
-    corun_cache: BTreeMap<Vec<(usize, KernelKey)>, BTreeMap<usize, f64>>,
-    standalone_cache: BTreeMap<(usize, KernelKey), (f64, f64)>,
+    /// Interned kernels; a kernel's id indexes `kernels`.
+    ids: BTreeMap<KernelKey, KernelId>,
+    kernels: Vec<KernelDesc>,
+    /// Standalone (work rate, bandwidth demand) by `[kernel id][pu]`,
+    /// measured on first use.
+    standalone_cache: Vec<Vec<Option<(f64, f64)>>>,
+    /// Placement sets, sorted by PU, → index into `corun_rates`.
+    corun_cache: BTreeMap<Vec<(usize, KernelId)>, usize>,
+    /// Co-run rates by PU, one entry per cached placement set.
+    corun_rates: Vec<BTreeMap<usize, f64>>,
+    /// Scratch: the placement set of the current co-run lookup, in the
+    /// caller's order and sorted by PU.
+    placed: Vec<(usize, KernelId)>,
+    sorted: Vec<(usize, KernelId)>,
 }
 
 impl<'a> SimProbe<'a> {
@@ -93,12 +117,18 @@ impl<'a> SimProbe<'a> {
             soc,
             config,
             names: BTreeMap::new(),
+            ids: BTreeMap::new(),
+            kernels: Vec::new(),
+            standalone_cache: Vec::new(),
             corun_cache: BTreeMap::new(),
-            standalone_cache: BTreeMap::new(),
+            corun_rates: Vec::new(),
+            placed: Vec::new(),
+            sorted: Vec::new(),
         }
     }
 
-    fn key(&mut self, kernel: &KernelDesc) -> KernelKey {
+    /// The id of `kernel`, interning it on first sight.
+    pub fn intern(&mut self, kernel: &KernelDesc) -> KernelId {
         let name = match self.names.get(kernel.name.as_str()) {
             Some(&id) => id,
             None => {
@@ -107,7 +137,7 @@ impl<'a> SimProbe<'a> {
                 id
             }
         };
-        KernelKey {
+        let key = KernelKey {
             name,
             params: [
                 kernel.ops_per_byte.to_bits(),
@@ -115,54 +145,162 @@ impl<'a> SimProbe<'a> {
                 kernel.write_fraction.to_bits(),
                 kernel.parallel_efficiency.to_bits(),
             ],
+        };
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
         }
+        let id = KernelId(self.kernels.len());
+        self.ids.insert(key, id);
+        self.kernels.push(kernel.clone());
+        self.standalone_cache.push(vec![None; self.soc.pus.len()]);
+        id
     }
 
     /// Standalone (work rate in lines/cycle, bandwidth demand in GB/s) of
     /// `kernel` on PU `pu_idx`; cached.
     pub fn standalone(&mut self, pu_idx: usize, kernel: &KernelDesc) -> (f64, f64) {
-        let key = (pu_idx, self.key(kernel));
-        if let Some(hit) = self.standalone_cache.get(&key) {
-            return *hit;
+        let id = self.intern(kernel);
+        self.standalone_of(pu_idx, id)
+    }
+
+    /// [`SimProbe::standalone`] of an interned kernel.
+    pub fn standalone_of(&mut self, pu_idx: usize, id: KernelId) -> (f64, f64) {
+        if let Some(hit) = self.standalone_cache[id.0][pu_idx] {
+            return hit;
         }
-        let profile = CoRunSim::standalone(self.soc, pu_idx, kernel, &self.config);
+        let profile = CoRunSim::standalone(self.soc, pu_idx, &self.kernels[id.0], &self.config);
         let result = (profile.lines_per_cycle, profile.bw_gbps);
-        self.standalone_cache.insert(key, result);
+        self.standalone_cache[id.0][pu_idx] = Some(result);
         result
+    }
+
+    /// Co-run rates of interned (PU, kernel) placements, by PU; simulated
+    /// in the given placement order on the set's first lookup, borrowed
+    /// from the cache after that.
+    pub fn corun_rates_of(
+        &mut self,
+        placements: impl IntoIterator<Item = (usize, KernelId)>,
+    ) -> &BTreeMap<usize, f64> {
+        self.placed.clear();
+        self.placed.extend(placements);
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.placed);
+        self.sorted.sort_unstable();
+        let hit = self.corun_cache.get(self.sorted.as_slice()).copied();
+        let idx = hit.unwrap_or_else(|| {
+            let mut sim = CoRunSim::with_config(self.soc, self.config.clone());
+            for &(pu, id) in &self.placed {
+                sim.place(Placement::kernel(pu, self.kernels[id.0].clone()));
+            }
+            let out = sim.execute();
+            let rates = out
+                .per_pu
+                .iter()
+                .map(|(pu, r)| (*pu, r.lines_per_cycle))
+                .collect();
+            self.corun_rates.push(rates);
+            self.corun_cache
+                .insert(self.sorted.clone(), self.corun_rates.len() - 1);
+            self.corun_rates.len() - 1
+        });
+        &self.corun_rates[idx]
     }
 }
 
 impl Probe for SimProbe<'_> {
     fn corun_rates(&mut self, placements: &[(usize, KernelDesc)]) -> BTreeMap<usize, f64> {
-        let mut key = Vec::with_capacity(placements.len());
-        for (pu, kernel) in placements {
-            key.push((*pu, self.key(kernel)));
-        }
-        key.sort_unstable();
-        if let Some(hit) = self.corun_cache.get(&key) {
-            return hit.clone();
-        }
-        let mut sim = CoRunSim::with_config(self.soc, self.config.clone());
-        for (pu, kernel) in placements {
-            sim.place(Placement::kernel(*pu, kernel.clone()));
-        }
-        let out = sim.execute();
-        let rates: BTreeMap<usize, f64> = out
-            .per_pu
+        let ids: Vec<(usize, KernelId)> = placements
             .iter()
-            .map(|(pu, r)| (*pu, r.lines_per_cycle))
+            .map(|(pu, kernel)| (*pu, self.intern(kernel)))
             .collect();
-        self.corun_cache.insert(key, rates.clone());
-        rates
+        self.corun_rates_of(ids).clone()
+    }
+}
+
+/// A job with each phase's kernel resolved, per PU of the SoC, to its
+/// probe id. Resolved once when the job enters an engine, so decision
+/// rounds neither clone kernels nor look them up by name.
+#[derive(Debug)]
+pub struct ResolvedJob<'j> {
+    /// The job.
+    pub job: &'j Job,
+    /// `[pu_idx]` → each phase's (kernel, id) on that PU, or `None` where
+    /// the job cannot run.
+    per_pu: Vec<Option<Vec<(&'j KernelDesc, KernelId)>>>,
+}
+
+impl<'j> ResolvedJob<'j> {
+    /// Resolves `job` against the PUs of `soc`, interning its kernels.
+    pub fn new(probe: &mut SimProbe, soc: &SocConfig, job: &'j Job) -> Self {
+        let per_pu = soc
+            .pus
+            .iter()
+            .map(|pu| {
+                if !job.runs_on(pu.kind) {
+                    return None;
+                }
+                job.phases
+                    .iter()
+                    .map(|ph| {
+                        ph.kernel_for(pu.kind)
+                            .map(|kernel| (kernel, probe.intern(kernel)))
+                    })
+                    .collect()
+            })
+            .collect();
+        Self { job, per_pu }
+    }
+
+    /// Each phase's (kernel, id) on PU `pu_idx`, or `None` when the job
+    /// cannot run there (or the SoC has no such PU).
+    pub fn on(&self, pu_idx: usize) -> Option<&[(&'j KernelDesc, KernelId)]> {
+        self.per_pu.get(pu_idx)?.as_deref()
+    }
+}
+
+/// A queued job as a decision round sees it: a resolved job whose every
+/// phase carries `scale` times its work, under its own identity. A plain
+/// job has scale 1; a serving bundle of `n` same-class requests is the
+/// class template at scale `n`.
+#[derive(Debug, Clone, Copy)]
+pub struct Queued<'j> {
+    /// The job the phases, name and priority come from.
+    pub job: &'j ResolvedJob<'j>,
+    /// Multiplier on every phase's work.
+    pub scale: f64,
+    /// Id the policy's assignments name.
+    pub id: usize,
+    /// Arrival time, cycles.
+    pub arrival: u64,
+    /// Deadline, if any.
+    pub deadline: Option<u64>,
+}
+
+impl<'j> Queued<'j> {
+    /// `job` as it stands: scale 1, its own id, arrival and deadline.
+    pub fn plain(job: &'j ResolvedJob<'j>) -> Self {
+        Self {
+            job,
+            scale: 1.0,
+            id: job.job.id,
+            arrival: job.job.arrival,
+            deadline: job.job.deadline,
+        }
     }
 }
 
 /// A job in flight on one PU, carrying caller data (`tag`) to its
 /// completion. Both the offline replay and the serving loop run on it.
 #[derive(Debug)]
-pub struct InFlight<T> {
-    /// The job.
-    pub job: Job,
+pub struct InFlight<'j, T> {
+    /// The job its phases come from.
+    pub job: &'j Job,
+    /// The queued id it was placed under.
+    pub id: usize,
+    /// Multiplier on every phase's work.
+    scale: f64,
+    /// Each phase's (kernel, id) on `pu_idx`.
+    kernels: &'j [(&'j KernelDesc, KernelId)],
     /// The PU it occupies.
     pub pu_idx: usize,
     /// Index of its current phase.
@@ -175,41 +313,61 @@ pub struct InFlight<T> {
     pub tag: T,
 }
 
-impl<T> InFlight<T> {
-    /// `job` placed on PU `pu_idx` at cycle `start`, at the top of its
-    /// first phase.
-    pub fn new(job: Job, pu_idx: usize, start: f64, tag: T) -> Self {
-        let remaining_lines = job.phases[0].work_lines;
-        Self {
+impl<'j, T> InFlight<'j, T> {
+    /// `queued` placed on PU `pu_idx` at cycle `start`, at the top of its
+    /// first phase; `None` when the job cannot run on that PU.
+    pub fn new(queued: Queued<'j>, pu_idx: usize, start: f64, tag: T) -> Option<Self> {
+        let kernels = queued.job.on(pu_idx)?;
+        let job = queued.job.job;
+        Some(Self {
             job,
+            id: queued.id,
+            scale: queued.scale,
+            kernels,
             pu_idx,
             phase: 0,
-            remaining_lines,
+            remaining_lines: job.phases[0].work_lines * queued.scale,
             start,
             tag,
-        }
+        })
+    }
+
+    /// Work of phase `phase`, lines.
+    fn work(&self, phase: usize) -> f64 {
+        self.job.phases[phase].work_lines * self.scale
     }
 
     /// The kernel of the current phase on this job's PU.
-    pub fn kernel<'k>(&'k self, soc: &SocConfig) -> &'k KernelDesc {
-        self.job.phases[self.phase]
-            .kernel_for(soc.pus[self.pu_idx].kind)
-            .expect("placement was validated against eligibility")
+    pub fn kernel(&self) -> &'j KernelDesc {
+        self.kernels[self.phase].0
+    }
+
+    /// The probe id of [`InFlight::kernel`].
+    pub fn kernel_id(&self) -> KernelId {
+        self.kernels[self.phase].1
     }
 
     /// Cycles until the job finishes at standalone rates: the current
     /// phase's remaining work plus every later phase.
-    pub fn drain_cycles(&self, probe: &mut SimProbe, soc: &SocConfig) -> f64 {
-        let (rate, _) = probe.standalone(self.pu_idx, self.kernel(soc));
+    pub fn drain_cycles(&self, probe: &mut SimProbe) -> f64 {
+        let (rate, _) = probe.standalone_of(self.pu_idx, self.kernel_id());
         let mut left = self.remaining_lines / rate.max(MIN_RATE);
-        for ph in &self.job.phases[self.phase + 1..] {
-            let k = ph
-                .kernel_for(soc.pus[self.pu_idx].kind)
-                .expect("placement was validated against eligibility");
-            let (rate, _) = probe.standalone(self.pu_idx, k);
-            left += ph.work_lines / rate.max(MIN_RATE);
+        for phase in self.phase + 1..self.kernels.len() {
+            let (rate, _) = probe.standalone_of(self.pu_idx, self.kernels[phase].1);
+            left += self.work(phase) / rate.max(MIN_RATE);
         }
         left
+    }
+
+    /// Standalone execution time of the whole job on its PU, summed over
+    /// phases.
+    pub fn standalone_cycles(&self, probe: &mut SimProbe) -> f64 {
+        (0..self.kernels.len())
+            .map(|phase| {
+                let (rate, _) = probe.standalone_of(self.pu_idx, self.kernels[phase].1);
+                self.work(phase) / rate.max(MIN_RATE)
+            })
+            .sum()
     }
 }
 
@@ -222,135 +380,110 @@ struct Placed {
     region: &'static str,
 }
 
-/// Standalone execution time of `job` on PU `pu_idx`, summed over phases.
-fn standalone_cycles(probe: &mut SimProbe, soc: &SocConfig, job: &Job, pu_idx: usize) -> f64 {
-    job.phases
-        .iter()
-        .map(|ph| {
-            let kernel = ph
-                .kernel_for(soc.pus[pu_idx].kind)
-                .expect("caller checked eligibility");
-            let (rate, _) = probe.standalone(pu_idx, kernel);
-            ph.work_lines / rate.max(MIN_RATE)
-        })
-        .sum()
-}
-
 /// Whether some PU of `soc` has no job in flight.
 pub fn any_free<T>(soc: &SocConfig, running: &[InFlight<T>]) -> bool {
     (0..soc.pus.len()).any(|i| running.iter().all(|r| r.pu_idx != i))
 }
 
-/// The policy's decision snapshot at cycle `now`: every PU's slot, the
-/// queued jobs with their per-PU standalone estimates, and the residents.
-pub fn build_input<'j, T>(
+/// The `i`-th entry of `v`: the one an earlier round left there, with its
+/// allocations, or a fresh default appended.
+fn reuse<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i == v.len() {
+        v.push(T::default());
+    }
+    &mut v[i]
+}
+
+/// Rebuilds `input` as the policy's decision snapshot at cycle `now`:
+/// every PU's slot, the queued jobs with their per-PU standalone
+/// estimates, and the residents. The snapshot borrows names and kernels
+/// from `soc` and the jobs, and refills the vectors `input` kept from the
+/// previous round, so a steady-state round allocates nothing.
+pub fn build_input<'a, T>(
+    input: &mut DecisionInput<'a>,
     probe: &mut SimProbe,
-    soc: &SocConfig,
+    soc: &'a SocConfig,
     now: f64,
-    queue: impl IntoIterator<Item = &'j Job>,
-    running: &[InFlight<T>],
-) -> DecisionInput {
-    let slots: Vec<PuSlot> = soc
-        .pus
-        .iter()
-        .enumerate()
-        .map(|(pu_idx, pu)| {
-            let resident = running.iter().find(|r| r.pu_idx == pu_idx);
-            PuSlot {
-                pu_idx,
-                kind: pu.kind,
-                name: pu.name.clone(),
-                free: resident.is_none(),
-                est_free_in: resident.map_or(0.0, |r| r.drain_cycles(probe, soc)),
+    queue: impl IntoIterator<Item = Queued<'a>>,
+    running: &[InFlight<'a, T>],
+) {
+    input.now = now;
+    input.slots.clear();
+    for (pu_idx, pu) in soc.pus.iter().enumerate() {
+        let resident = running.iter().find(|r| r.pu_idx == pu_idx);
+        input.slots.push(PuSlot {
+            pu_idx,
+            kind: pu.kind,
+            name: &pu.name,
+            free: resident.is_none(),
+            est_free_in: resident.map_or(0.0, |r| r.drain_cycles(probe)),
+        });
+    }
+    let mut queued = 0;
+    for q in queue {
+        let pending = reuse(&mut input.queue, queued);
+        queued += 1;
+        pending.job_id = q.id;
+        pending.name = &q.job.job.name;
+        pending.arrival = q.arrival;
+        pending.deadline = q.deadline;
+        pending.priority = q.job.job.priority;
+        let mut options = 0;
+        for pu_idx in 0..soc.pus.len() {
+            let Some(kernels) = q.job.on(pu_idx) else {
+                continue;
+            };
+            let option = reuse(&mut pending.options, options);
+            options += 1;
+            option.pu_idx = pu_idx;
+            option.phases.clear();
+            for (ph, &(kernel, id)) in q.job.job.phases.iter().zip(kernels) {
+                let (rate, bw) = probe.standalone_of(pu_idx, id);
+                option.phases.push(PhaseEstimate {
+                    kernel,
+                    work_lines: ph.work_lines * q.scale,
+                    standalone_rate: rate,
+                    demand_gbps: bw,
+                });
             }
-        })
-        .collect();
-    let queue: Vec<PendingJob> = queue
-        .into_iter()
-        .map(|job| {
-            let options: Vec<PlacementOption> = soc
-                .pus
+            option.standalone_cycles = option
+                .phases
                 .iter()
-                .enumerate()
-                .filter(|(_, pu)| job.runs_on(pu.kind))
-                .map(|(pu_idx, pu)| {
-                    let phases: Vec<PhaseEstimate> = job
-                        .phases
-                        .iter()
-                        .map(|ph| {
-                            let kernel = ph.kernel_for(pu.kind).expect("runs_on checked").clone();
-                            let (rate, bw) = probe.standalone(pu_idx, &kernel);
-                            PhaseEstimate {
-                                kernel,
-                                work_lines: ph.work_lines,
-                                standalone_rate: rate,
-                                demand_gbps: bw,
-                            }
-                        })
-                        .collect();
-                    let standalone_cycles = phases
-                        .iter()
-                        .map(|p| p.work_lines / p.standalone_rate.max(MIN_RATE))
-                        .sum();
-                    PlacementOption {
-                        pu_idx,
-                        standalone_cycles,
-                        phases,
-                    }
-                })
-                .collect();
-            PendingJob {
-                job_id: job.id,
-                name: job.name.clone(),
-                arrival: job.arrival,
-                deadline: job.deadline,
-                priority: job.priority,
-                options,
-            }
-        })
-        .collect();
-    let residents: Vec<Resident> = running
-        .iter()
-        .map(|r| {
-            let kernel = r.kernel(soc).clone();
-            let (rate, bw) = probe.standalone(r.pu_idx, &kernel);
-            Resident {
-                pu_idx: r.pu_idx,
-                job_id: r.job.id,
-                kernel,
-                demand_gbps: bw,
-                standalone_rate: rate,
-                remaining_lines: r.remaining_lines,
-            }
-        })
-        .collect();
-    DecisionInput {
-        now,
-        slots,
-        queue,
-        residents,
+                .map(|p| p.work_lines / p.standalone_rate.max(MIN_RATE))
+                .sum();
+        }
+        pending.options.truncate(options);
+    }
+    input.queue.truncate(queued);
+    input.residents.clear();
+    for r in running {
+        let (rate, bw) = probe.standalone_of(r.pu_idx, r.kernel_id());
+        input.residents.push(Resident {
+            pu_idx: r.pu_idx,
+            job_id: r.id,
+            kernel: r.kernel(),
+            demand_gbps: bw,
+            standalone_rate: rate,
+            remaining_lines: r.remaining_lines,
+        });
     }
 }
 
 /// Runs the current placement from `*now` to its next event. Measures the
 /// co-run rates of `running`, steps `*now` to the first phase boundary or
 /// completion, or to `until` when that comes first and lies ahead, and
-/// moves jobs past phase boundaries. Returns the finished jobs, removed
-/// from `running`, in placement order.
+/// moves jobs past phase boundaries. Appends the finished jobs, removed
+/// from `running`, to `finished` in placement order.
 ///
 /// `running` must not be empty.
-pub fn advance<T>(
+pub fn advance<'j, T>(
     probe: &mut SimProbe,
-    soc: &SocConfig,
-    running: &mut Vec<InFlight<T>>,
+    running: &mut Vec<InFlight<'j, T>>,
     now: &mut f64,
     until: f64,
-) -> Vec<InFlight<T>> {
-    let placements: Vec<(usize, KernelDesc)> = running
-        .iter()
-        .map(|r| (r.pu_idx, r.kernel(soc).clone()))
-        .collect();
-    let rates = probe.corun_rates(&placements);
+    finished: &mut Vec<InFlight<'j, T>>,
+) {
+    let rates = probe.corun_rates_of(running.iter().map(|r| (r.pu_idx, r.kernel_id())));
     let rate_of = |pu_idx: usize| rates.get(&pu_idx).copied().unwrap_or(0.0).max(MIN_RATE);
     let mut dt = f64::INFINITY;
     for r in running.iter() {
@@ -361,22 +494,20 @@ pub fn advance<T>(
         dt = dt.min(ahead);
     }
     *now += dt;
-    let mut finished = Vec::new();
     let mut idx = 0;
     while idx < running.len() {
         let r = &mut running[idx];
         r.remaining_lines -= rate_of(r.pu_idx) * dt;
         if r.remaining_lines > WORK_EPSILON {
             idx += 1;
-        } else if r.phase + 1 < r.job.phases.len() {
+        } else if r.phase + 1 < r.kernels.len() {
             r.phase += 1;
-            r.remaining_lines = r.job.phases[r.phase].work_lines;
+            r.remaining_lines = r.work(r.phase);
             idx += 1;
         } else {
             finished.push(running.remove(idx));
         }
     }
-    finished
 }
 
 /// Replays `jobs` on `soc` under `policy` and reports the schedule.
@@ -421,16 +552,26 @@ pub fn run_schedule(
     span.counter("jobs", jobs.len() as f64);
 
     let mut probe = SimProbe::new(soc, cfg.probe.clone());
-    let mut arrivals: Vec<Job> = jobs.to_vec();
-    arrivals.sort_by_key(|j| (j.arrival, j.id));
-    let mut queue: Vec<Job> = Vec::new();
+    let resolved: Vec<ResolvedJob> = jobs
+        .iter()
+        .map(|job| ResolvedJob::new(&mut probe, soc, job))
+        .collect();
+    // Indices into `resolved`, in arrival order; `next` is the first
+    // that has not arrived yet.
+    let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
+    arrivals.sort_by_key(|&j| (jobs[j].arrival, jobs[j].id));
+    let mut next = 0usize;
+    let arrives = |i: usize| arrivals.get(i).map(|&j| jobs[j].arrival as f64);
+    let mut queue: Vec<usize> = Vec::new();
+    let mut input = DecisionInput::default();
     let mut running: Vec<InFlight<Placed>> = Vec::new();
+    let mut finished: Vec<InFlight<Placed>> = Vec::new();
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     let mut decisions: Vec<DecisionRecord> = Vec::new();
     let mut now = 0.0_f64;
     let mut steps = 0usize;
 
-    while !(arrivals.is_empty() && queue.is_empty() && running.is_empty()) {
+    while !(next == arrivals.len() && queue.is_empty() && running.is_empty()) {
         steps += 1;
         assert!(
             steps <= cfg.max_steps,
@@ -439,64 +580,68 @@ pub fn run_schedule(
             policy.name()
         );
         // Admit arrivals due by now.
-        while arrivals.first().is_some_and(|j| (j.arrival as f64) <= now) {
-            queue.push(arrivals.remove(0));
+        while arrives(next).is_some_and(|t| t <= now) {
+            queue.push(arrivals[next]);
+            next += 1;
         }
         // Let the policy place onto free PUs. Progress guarantee: when its
         // picks leave the machine idle, the fallback pick runs instead.
         if !queue.is_empty() && any_free(soc, &running) {
-            let input = build_input(&mut probe, soc, now, &queue, &running);
+            let queued = queue.iter().map(|&j| Queued::plain(&resolved[j]));
+            build_input(&mut input, &mut probe, soc, now, queued, &running);
             let fallback = input.fallback().map(|a| (a, true));
             let decided = policy.decide(&input, &mut probe);
             for (a, forced) in decided.into_iter().map(|a| (a, false)).chain(fallback) {
                 if forced && !running.is_empty() {
                     break;
                 }
-                let Some(pos) = queue.iter().position(|j| j.id == a.job_id) else {
+                let Some(pos) = queue.iter().position(|&j| jobs[j].id == a.job_id) else {
                     continue; // unknown job; ignore
                 };
-                let valid = a.pu_idx < soc.pus.len()
-                    && running.iter().all(|r| r.pu_idx != a.pu_idx)
-                    && queue[pos].runs_on(soc.pus[a.pu_idx].kind);
-                if !valid {
-                    continue; // policies may only place eligible jobs on free PUs
+                let job = &resolved[queue[pos]];
+                // Policies may only place eligible jobs on free PUs of
+                // the SoC (`on` is `None` for the others).
+                let Some(kernels) = job.on(a.pu_idx) else {
+                    continue;
+                };
+                if running.iter().any(|r| r.pu_idx == a.pu_idx) {
+                    continue;
                 }
                 let placed_by = if forced { "forced" } else { policy.name() };
-                let job = queue.remove(pos);
+                queue.remove(pos);
                 decisions.push(DecisionRecord {
                     at_cycle: now,
                     policy: placed_by.to_owned(),
-                    job: job.name.clone(),
-                    job_id: job.id,
+                    job: job.job.name.clone(),
+                    job_id: job.job.id,
                     pu: soc.pus[a.pu_idx].name.clone(),
                     pu_idx: a.pu_idx,
                     predicted_cost: a.predicted_cost,
                     queue_depth: queue.len(),
                 });
-                let first_kernel = job.phases[0]
-                    .kernel_for(soc.pus[a.pu_idx].kind)
-                    .expect("eligibility validated above");
-                let (_, demand) = probe.standalone(a.pu_idx, first_kernel);
+                let (_, demand) = probe.standalone_of(a.pu_idx, kernels[0].1);
                 let tag = Placed {
                     predicted_cost: a.predicted_cost,
                     placed_by,
                     region: policy.region_label(a.pu_idx, demand),
                 };
-                running.push(InFlight::new(job, a.pu_idx, now, tag));
+                // `new` is `Some`: eligibility was checked above.
+                running.extend(InFlight::new(Queued::plain(job), a.pu_idx, now, tag));
             }
         }
         if running.is_empty() {
             // Nothing to execute: jump to the next arrival.
-            match arrivals.first() {
-                Some(next) => now = now.max(next.arrival as f64),
+            match arrives(next) {
+                Some(t) => now = now.max(t),
                 None => break,
             }
             continue;
         }
         // Advance to the next event: a phase/job completion or an arrival.
-        let until = arrivals.first().map_or(f64::INFINITY, |j| j.arrival as f64);
-        for r in advance(&mut probe, soc, &mut running, &mut now, until) {
-            let standalone = standalone_cycles(&mut probe, soc, &r.job, r.pu_idx);
+        let until = arrives(next).unwrap_or(f64::INFINITY);
+        advance(&mut probe, &mut running, &mut now, until, &mut finished);
+        for r in finished.drain(..) {
+            let standalone = r.standalone_cycles(&mut probe);
             let residence = (now - r.start).max(1.0);
             if audit::is_enabled() {
                 audit::record(
@@ -691,8 +836,17 @@ mod tests {
         for d in &r.decisions {
             assert_eq!(d.policy, "forced");
             let job = jobs.iter().find(|j| j.id == d.job_id).unwrap();
+            let mut standalone_cycles = |pu: usize| -> f64 {
+                job.phases
+                    .iter()
+                    .map(|ph| {
+                        let kernel = ph.kernel_for(soc.pus[pu].kind).unwrap();
+                        ph.work_lines / probe.standalone(pu, kernel).0.max(MIN_RATE)
+                    })
+                    .sum()
+            };
             let (best_pu, best) = (0..soc.pus.len())
-                .map(|pu| (pu, standalone_cycles(&mut probe, &soc, job, pu)))
+                .map(|pu| (pu, standalone_cycles(pu)))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap();
             assert_eq!((d.pu_idx, d.predicted_cost), (best_pu, best), "{d:?}");

@@ -22,6 +22,7 @@ use pccs_soc::kernel::KernelDesc;
 use pccs_soc::pu::PuKind;
 use pccs_soc::soc::SocConfig;
 use pccs_workloads::calibrate::{build_models, CalibrationConfig};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Floor for predicted relative speeds, to keep costs finite.
@@ -32,13 +33,13 @@ const MIN_RATE: f64 = 1e-9;
 
 /// One PU as the policy sees it.
 #[derive(Debug, Clone)]
-pub struct PuSlot {
+pub struct PuSlot<'a> {
     /// Index into [`SocConfig::pus`].
     pub pu_idx: usize,
     /// PU class.
     pub kind: PuKind,
     /// PU display name.
-    pub name: String,
+    pub name: &'a str,
     /// Whether the PU is idle.
     pub free: bool,
     /// Estimated cycles until the PU frees (0 when free), from the
@@ -49,9 +50,9 @@ pub struct PuSlot {
 
 /// Standalone estimates of one phase of a candidate job on one PU.
 #[derive(Debug, Clone)]
-pub struct PhaseEstimate {
+pub struct PhaseEstimate<'a> {
     /// The kernel the phase runs on this PU.
-    pub kernel: KernelDesc,
+    pub kernel: &'a KernelDesc,
     /// Work in lines.
     pub work_lines: f64,
     /// Measured standalone work rate on this PU, lines per cycle.
@@ -62,17 +63,17 @@ pub struct PhaseEstimate {
 }
 
 /// A candidate (job, PU) pairing with its standalone profile.
-#[derive(Debug, Clone)]
-pub struct PlacementOption {
+#[derive(Debug, Clone, Default)]
+pub struct PlacementOption<'a> {
     /// Index of the PU.
     pub pu_idx: usize,
     /// Total standalone execution time across phases, cycles.
     pub standalone_cycles: f64,
     /// Per-phase estimates.
-    pub phases: Vec<PhaseEstimate>,
+    pub phases: Vec<PhaseEstimate<'a>>,
 }
 
-impl PlacementOption {
+impl PlacementOption<'_> {
     /// Time-weighted mean standalone bandwidth demand across phases, GB/s —
     /// the single-number pressure this job adds to co-runners.
     pub fn mean_demand_gbps(&self) -> f64 {
@@ -92,12 +93,12 @@ impl PlacementOption {
 }
 
 /// An arrived, not-yet-placed job.
-#[derive(Debug, Clone)]
-pub struct PendingJob {
+#[derive(Debug, Clone, Default)]
+pub struct PendingJob<'a> {
     /// Job id.
     pub job_id: usize,
     /// Job name.
-    pub name: String,
+    pub name: &'a str,
     /// Arrival time, cycles.
     pub arrival: u64,
     /// Deadline, if any.
@@ -105,25 +106,25 @@ pub struct PendingJob {
     /// Priority (larger first).
     pub priority: u32,
     /// One option per eligible PU (free or busy), ordered by PU index.
-    pub options: Vec<PlacementOption>,
+    pub options: Vec<PlacementOption<'a>>,
 }
 
-impl PendingJob {
+impl<'a> PendingJob<'a> {
     /// The option targeting PU `pu_idx`, if the job is eligible there.
-    pub fn option_for(&self, pu_idx: usize) -> Option<&PlacementOption> {
+    pub fn option_for(&self, pu_idx: usize) -> Option<&PlacementOption<'a>> {
         self.options.iter().find(|o| o.pu_idx == pu_idx)
     }
 }
 
 /// A job currently executing on a PU.
 #[derive(Debug, Clone)]
-pub struct Resident {
+pub struct Resident<'a> {
     /// The PU it occupies.
     pub pu_idx: usize,
     /// Job id.
     pub job_id: usize,
     /// The kernel of its current phase on that PU.
-    pub kernel: KernelDesc,
+    pub kernel: &'a KernelDesc,
     /// Standalone bandwidth demand of that kernel on that PU, GB/s.
     pub demand_gbps: f64,
     /// Standalone work rate on that PU, lines per cycle.
@@ -132,51 +133,45 @@ pub struct Resident {
     pub remaining_lines: f64,
 }
 
-/// The scheduling snapshot a policy decides on.
-#[derive(Debug, Clone)]
-pub struct DecisionInput {
+/// The scheduling snapshot a policy decides on. It borrows PU names and
+/// kernels from the SoC and the queued and running jobs (`'a`), so an
+/// engine can rebuild it every round without cloning any of them.
+#[derive(Debug, Clone, Default)]
+pub struct DecisionInput<'a> {
     /// Current time, cycles.
     pub now: f64,
     /// All PUs of the SoC.
-    pub slots: Vec<PuSlot>,
+    pub slots: Vec<PuSlot<'a>>,
     /// Arrived, unplaced jobs in arrival order.
-    pub queue: Vec<PendingJob>,
+    pub queue: Vec<PendingJob<'a>>,
     /// Jobs currently executing.
-    pub residents: Vec<Resident>,
+    pub residents: Vec<Resident<'a>>,
 }
 
-impl DecisionInput {
-    /// The slot of PU `pu_idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is not a PU of the snapshot.
-    pub fn slot(&self, pu_idx: usize) -> &PuSlot {
-        self.slots
-            .iter()
-            .find(|s| s.pu_idx == pu_idx)
-            .unwrap_or_else(|| panic!("no slot for PU {pu_idx}"))
-    }
-
+impl DecisionInput<'_> {
     /// Queue positions sorted for service: priority descending, then
     /// arrival, then id — the order every bundled policy scans in.
     pub fn service_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.queue.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ja, jb) = (&self.queue[a], &self.queue[b]);
-            jb.priority
-                .cmp(&ja.priority)
-                .then(ja.arrival.cmp(&jb.arrival))
-                .then(ja.job_id.cmp(&jb.job_id))
-        });
+        order.sort_by(|&a, &b| self.service_cmp(a, b));
         order
+    }
+
+    /// Service-order comparison of queue positions `a` and `b`.
+    fn service_cmp(&self, a: usize, b: usize) -> Ordering {
+        let (ja, jb) = (&self.queue[a], &self.queue[b]);
+        jb.priority
+            .cmp(&ja.priority)
+            .then(ja.arrival.cmp(&jb.arrival))
+            .then(ja.job_id.cmp(&jb.job_id))
     }
 
     /// The pick an idle machine falls back on when a policy places nothing:
     /// the first job in service order on its fastest standalone PU, costed
     /// at that standalone time. `None` when the queue is empty.
     pub fn fallback(&self) -> Option<Assignment> {
-        let job = &self.queue[*self.service_order().first()?];
+        let first = (0..self.queue.len()).min_by(|&a, &b| self.service_cmp(a, b))?;
+        let job = &self.queue[first];
         let option = job
             .options
             .iter()
@@ -231,49 +226,54 @@ pub trait Policy {
 /// Tracks how long each busy PU is expected to stay busy during one
 /// decision round: the engine's optimistic estimate, plus the standalone
 /// time of every job assigned to or queued behind the PU this round.
-struct Backlog<'a> {
-    input: &'a DecisionInput,
-    extra: BTreeMap<usize, f64>,
+struct Backlog<'i, 'a> {
+    input: &'i DecisionInput<'a>,
+    /// `[pu_idx]` → busy time charged this round (0 past the end).
+    extra: Vec<f64>,
 }
 
-impl<'a> Backlog<'a> {
-    fn new(input: &'a DecisionInput) -> Self {
+impl<'i, 'a> Backlog<'i, 'a> {
+    fn new(input: &'i DecisionInput<'a>) -> Self {
         Self {
             input,
-            extra: BTreeMap::new(),
+            extra: Vec::new(),
         }
     }
 
     /// Estimated cycles until PU `pu_idx` has drained its (round-local)
     /// backlog.
     fn until_free(&self, pu_idx: usize) -> f64 {
-        self.input.slot(pu_idx).est_free_in + self.extra.get(&pu_idx).copied().unwrap_or(0.0)
+        let slot = self.input.slots.iter().find(|s| s.pu_idx == pu_idx);
+        slot.map_or(0.0, |s| s.est_free_in) + self.extra.get(pu_idx).copied().unwrap_or(0.0)
     }
 
     /// The cheapest wait-then-run-alone estimate among the job's options on
-    /// PUs outside `free`: `(pu, est_free + standalone)`.
-    fn best_wait(&self, job: &PendingJob, free: &[usize]) -> Option<(usize, f64)> {
+    /// PUs outside `free`: `(option, est_free + standalone)`.
+    fn best_wait<'o>(
+        &self,
+        job: &'o PendingJob<'a>,
+        free: &[usize],
+    ) -> Option<(&'o PlacementOption<'a>, f64)> {
         job.options
             .iter()
             .filter(|o| !free.contains(&o.pu_idx))
-            .map(|o| (o.pu_idx, self.until_free(o.pu_idx) + o.standalone_cycles))
+            .map(|o| (o, self.until_free(o.pu_idx) + o.standalone_cycles))
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
     /// Charges `cycles` of additional busy time onto PU `pu_idx`.
     fn charge(&mut self, pu_idx: usize, cycles: f64) {
-        *self.extra.entry(pu_idx).or_insert(0.0) += cycles;
+        if self.extra.len() <= pu_idx {
+            self.extra.resize(pu_idx + 1, 0.0);
+        }
+        self.extra[pu_idx] += cycles;
     }
 
     /// Lets `job` wait: charges its standalone time onto the PU it would
     /// queue on, so later jobs in the round see the longer line.
     fn charge_wait(&mut self, job: &PendingJob, free: &[usize]) {
-        if let Some((pu, _)) = self.best_wait(job, free) {
-            let std = job
-                .option_for(pu)
-                .expect("best_wait picked one of the job's options")
-                .standalone_cycles;
-            self.charge(pu, std);
+        if let Some((opt, _)) = self.best_wait(job, free) {
+            self.charge(opt.pu_idx, opt.standalone_cycles);
         }
     }
 }
@@ -303,15 +303,15 @@ impl Policy for RoundRobin {
             let n = input.slots.len();
             let chosen = (0..n)
                 .map(|step| input.slots[(self.cursor + step) % n].pu_idx)
-                .find(|pu| free.contains(pu) && job.option_for(*pu).is_some());
-            if let Some(pu) = chosen {
-                let opt = job.option_for(pu).expect("option checked above");
+                .filter(|pu| free.contains(pu))
+                .find_map(|pu| job.option_for(pu));
+            if let Some(opt) = chosen {
                 out.push(Assignment {
                     job_id: job.job_id,
-                    pu_idx: pu,
+                    pu_idx: opt.pu_idx,
                     predicted_cost: opt.standalone_cycles,
                 });
-                free.retain(|p| *p != pu);
+                free.retain(|p| *p != opt.pu_idx);
                 self.cursor = (self.cursor + 1) % n;
             }
         }
@@ -373,9 +373,9 @@ impl Policy for ObliviousGreedy {
 /// multi-assignment round: real residents plus jobs assigned earlier in the
 /// same round.
 #[derive(Debug, Clone)]
-struct VirtualResident {
+struct VirtualResident<'a> {
     pu_idx: usize,
-    kernel: KernelDesc,
+    kernel: &'a KernelDesc,
     demand_gbps: f64,
     standalone_rate: f64,
     remaining_std_cycles: f64,
@@ -430,7 +430,7 @@ fn guided_decide(
         .iter()
         .map(|r| VirtualResident {
             pu_idx: r.pu_idx,
-            kernel: r.kernel.clone(),
+            kernel: r.kernel,
             demand_gbps: r.demand_gbps,
             standalone_rate: r.standalone_rate,
             remaining_std_cycles: r.remaining_lines / r.standalone_rate.max(MIN_RATE),
@@ -447,7 +447,7 @@ fn guided_decide(
     let mut out = Vec::new();
     while !remaining.is_empty() && !free.is_empty() {
         // Globally cheapest placement among remaining jobs × free PUs.
-        let mut best: Option<(usize, usize, f64)> = None; // (queue idx, pu, cost)
+        let mut best: Option<(usize, &PlacementOption, f64)> = None; // (queue idx, option, cost)
         for &qi in &remaining {
             for opt in &input.queue[qi].options {
                 if !free.contains(&opt.pu_idx) {
@@ -455,12 +455,12 @@ fn guided_decide(
                 }
                 let cost = scorer.score(&virt, opt, probe);
                 if best.is_none_or(|(_, _, c)| cost < c) {
-                    best = Some((qi, opt.pu_idx, cost));
+                    best = Some((qi, opt, cost));
                 }
             }
         }
-        let Some((qi, pu, cost)) = best else { break };
-        let job = &input.queue[qi];
+        let Some((qi, opt, cost)) = best else { break };
+        let (job, pu) = (&input.queue[qi], opt.pu_idx);
         remaining.retain(|&r| r != qi);
         // Would this job rather wait for a busy PU to free?
         let wait = backlog.best_wait(job, &free);
@@ -468,11 +468,10 @@ fn guided_decide(
             backlog.charge_wait(job, &free);
             continue; // job waits; try the next-cheapest pairing
         }
-        let opt = job.option_for(pu).expect("cost came from this option");
         let first = &opt.phases[0];
         virt.push(VirtualResident {
             pu_idx: pu,
-            kernel: first.kernel.clone(),
+            kernel: first.kernel,
             demand_gbps: opt.mean_demand_gbps(),
             standalone_rate: first.standalone_rate,
             remaining_std_cycles: opt.standalone_cycles,
@@ -652,22 +651,21 @@ impl PlacementScorer for SimScorer {
         // last, standalone after.
         let mut contended = 0.0;
         let mut standalone = 0.0;
-        let mut first_rates = None;
+        let mut first_rates = BTreeMap::new();
         for (i, ph) in opt.phases.iter().enumerate() {
             let mut placements = base.clone();
             placements.push((opt.pu_idx, ph.kernel.clone()));
             let rates = probe.corun_rates(&placements);
-            if i == 0 {
-                first_rates = Some(rates.clone());
-            }
             let rate = rates.get(&opt.pu_idx).copied().unwrap_or(0.0).max(MIN_RATE);
             contended += ph.work_lines / rate;
             standalone += ph.work_lines / ph.standalone_rate.max(MIN_RATE);
+            if i == 0 {
+                first_rates = rates;
+            }
         }
         let finish = windowed_finish(contended, standalone, resident_window(virt));
         // Measured delay inflicted on the residents while the candidate's
-        // first phase overlaps them.
-        let first_rates = first_rates.expect("options have at least one phase");
+        // first phase overlaps them (every option has a first phase).
         let mut delay = 0.0;
         for r in virt {
             let rate_old = base_rates
@@ -714,10 +712,12 @@ impl Policy for OraclePolicy {
 /// Panics if calibrating the PCCS policy's models fails — on the bundled
 /// SoC presets it does not.
 pub fn all_policies(soc: &SocConfig) -> Vec<Box<dyn Policy>> {
-    ["round-robin", "greedy", "pccs", "oracle"]
-        .iter()
-        .map(|name| policy_by_name(soc, name).expect("bundled policy"))
-        .collect()
+    vec![
+        Box::new(RoundRobin::default()),
+        Box::new(ObliviousGreedy),
+        calibrated_pccs(soc),
+        Box::new(OraclePolicy),
+    ]
 }
 
 /// A policy by CLI name (`round-robin`/`rr`, `greedy`, `pccs`, `oracle`).
@@ -732,14 +732,25 @@ pub fn policy_by_name(soc: &SocConfig, name: &str) -> Option<Box<dyn Policy>> {
     match name.to_ascii_lowercase().as_str() {
         "round-robin" | "rr" => Some(Box::new(RoundRobin::default())),
         "greedy" | "oblivious" => Some(Box::new(ObliviousGreedy)),
-        "pccs" => {
-            let models =
-                build_models(soc, &default_calibration()).unwrap_or_else(|e| panic!("{e}"));
-            Some(Box::new(PccsPolicy::new(boxed_models(&models))))
-        }
+        "pccs" => Some(calibrated_pccs(soc)),
         "oracle" => Some(Box::new(OraclePolicy)),
         _ => None,
     }
+}
+
+/// The PCCS policy over models [`build_models`] calibrates under
+/// [`default_calibration`].
+///
+/// # Panics
+///
+/// Panics if that calibration fails — on the bundled SoC presets it does
+/// not.
+fn calibrated_pccs(soc: &SocConfig) -> Box<dyn Policy> {
+    // Policy construction, once per run: calibration is the only step that
+    // can fail, and never does on the bundled presets.
+    // pccs-lint: allow(hot-path-panic)
+    let models = build_models(soc, &default_calibration()).unwrap_or_else(|e| panic!("{e}"));
+    Box::new(PccsPolicy::new(boxed_models(&models)))
 }
 
 #[cfg(test)]
@@ -756,20 +767,29 @@ mod tests {
         }
     }
 
-    fn slot(pu_idx: usize, kind: PuKind, free: bool) -> PuSlot {
+    /// A kernel that lives as long as the test's snapshots borrow it.
+    fn kernel(name: &str) -> &'static KernelDesc {
+        Box::leak(Box::new(KernelDesc::memory_streaming(name, 1.0)))
+    }
+
+    fn slot(pu_idx: usize, kind: PuKind, free: bool) -> PuSlot<'static> {
         PuSlot {
             pu_idx,
             kind,
-            name: format!("{kind}"),
+            name: "pu",
             free,
             est_free_in: if free { 0.0 } else { 10_000.0 },
         }
     }
 
-    fn pending(job_id: usize, arrival: u64, options: Vec<(usize, f64, f64)>) -> PendingJob {
+    fn pending(
+        job_id: usize,
+        arrival: u64,
+        options: Vec<(usize, f64, f64)>,
+    ) -> PendingJob<'static> {
         PendingJob {
             job_id,
-            name: format!("job{job_id}"),
+            name: "job",
             arrival,
             deadline: None,
             priority: 0,
@@ -779,7 +799,7 @@ mod tests {
                     pu_idx,
                     standalone_cycles: cycles,
                     phases: vec![PhaseEstimate {
-                        kernel: KernelDesc::memory_streaming("k", 1.0),
+                        kernel: kernel("k"),
                         work_lines: cycles,
                         standalone_rate: 1.0,
                         demand_gbps: demand,
@@ -789,7 +809,7 @@ mod tests {
         }
     }
 
-    fn two_pu_input(queue: Vec<PendingJob>) -> DecisionInput {
+    fn two_pu_input(queue: Vec<PendingJob<'static>>) -> DecisionInput<'static> {
         DecisionInput {
             now: 0.0,
             slots: vec![slot(0, PuKind::Cpu, true), slot(1, PuKind::Gpu, true)],
@@ -918,13 +938,13 @@ mod tests {
             standalone_cycles: 300.0,
             phases: vec![
                 PhaseEstimate {
-                    kernel: KernelDesc::memory_streaming("a", 1.0),
+                    kernel: kernel("a"),
                     work_lines: 100.0,
                     standalone_rate: 1.0,
                     demand_gbps: 10.0,
                 },
                 PhaseEstimate {
-                    kernel: KernelDesc::memory_streaming("b", 1.0),
+                    kernel: kernel("b"),
                     work_lines: 200.0,
                     standalone_rate: 1.0,
                     demand_gbps: 70.0,

@@ -9,8 +9,7 @@
 //! dissolve back into the pending queue and re-form next round, so
 //! batching never strands a request.
 
-use crate::request::RequestClass;
-use pccs_sched::job::Job;
+use std::ops::Range;
 
 /// Batching configuration.
 #[derive(Debug, Clone, Copy)]
@@ -32,97 +31,139 @@ impl Default for BatchConfig {
 }
 
 /// An admitted request waiting for placement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PendingRequest {
     /// Request id (arrival order, unique per run).
     pub id: usize,
     /// Index into the run's class list.
     pub class_idx: usize,
-    /// The stamped job (absolute arrival and deadline).
-    pub job: Job,
+    /// Arrival time, cycles.
+    pub arrival: u64,
+    /// Absolute completion deadline, if the class has an SLO.
+    pub deadline: Option<u64>,
 }
 
-/// A coalesced group of same-class requests, placed as one job.
+/// A coalesced group of same-class requests, placed as one job: the
+/// class template with every phase's work multiplied by the member count.
 #[derive(Debug, Clone)]
 pub struct Bundle {
-    /// The combined job: member traffic summed, earliest member deadline,
-    /// id of the first member.
-    pub job: Job,
-    /// Member request ids, in arrival order.
-    pub members: Vec<usize>,
     /// Index into the run's class list.
     pub class_idx: usize,
+    /// Id of the first member; the bundle's id as a queued job.
+    pub id: usize,
+    /// The latest member's arrival (the bundle cannot start before
+    /// everyone it carries exists).
+    pub arrival: u64,
+    /// The most urgent member's deadline.
+    pub deadline: Option<u64>,
+    /// Where the member ids sit in [`Bundles::members`].
+    members: Range<usize>,
 }
 
-/// Forms bundles from the pending queue.
-///
-/// `pending` must be in arrival order (the engine's queue is). Grouping is
-/// per class, greedy in arrival order, so the result is a deterministic
-/// function of the queue.
-pub fn form_bundles(
-    pending: &[PendingRequest],
-    classes: &[RequestClass],
-    cfg: &BatchConfig,
-) -> Vec<Bundle> {
-    let max_batch = cfg.max_batch.max(1);
-    let mut bundles: Vec<Bundle> = Vec::new();
-    for class_idx in 0..classes.len() {
-        let mut group: Vec<&PendingRequest> = Vec::new();
-        for req in pending.iter().filter(|r| r.class_idx == class_idx) {
-            let fits = group.len() < max_batch
-                && group
-                    .first()
-                    .is_none_or(|f| req.job.arrival.saturating_sub(f.job.arrival) <= cfg.window);
-            if !fits {
-                bundles.push(seal(&group, class_idx));
-                group.clear();
+impl Bundle {
+    /// Requests the bundle carries.
+    pub fn size(&self) -> usize {
+        self.members.len()
+    }
+}
+
+/// The bundles of one decision round. The serving loop keeps one and
+/// re-forms it every round, so its vectors are reused rather than
+/// reallocated.
+#[derive(Debug, Default)]
+pub struct Bundles {
+    bundles: Vec<Bundle>,
+    /// Member request ids of every bundle, each bundle's in arrival order.
+    member_ids: Vec<usize>,
+}
+
+impl Bundles {
+    /// Re-forms the bundles from the pending queue.
+    ///
+    /// `pending` must be in arrival order (the engine's queue is).
+    /// Grouping is per class, greedy in arrival order, so the result is a
+    /// deterministic function of the queue. Bundles come out oldest first
+    /// (by latest-member arrival, then id), so the policy's service order
+    /// sees the queue in arrival order across classes.
+    pub fn form(&mut self, pending: &[PendingRequest], classes: usize, cfg: &BatchConfig) {
+        let max_batch = cfg.max_batch.max(1);
+        self.bundles.clear();
+        self.member_ids.clear();
+        for class_idx in 0..classes {
+            // The bundle being filled and its first member's arrival.
+            let mut open: Option<(Bundle, u64)> = None;
+            for req in pending.iter().filter(|r| r.class_idx == class_idx) {
+                match &mut open {
+                    Some((b, first))
+                        if b.size() < max_batch
+                            && req.arrival.saturating_sub(*first) <= cfg.window =>
+                    {
+                        b.arrival = b.arrival.max(req.arrival);
+                        b.deadline = match (b.deadline, req.deadline) {
+                            (Some(a), Some(d)) => Some(a.min(d)),
+                            (a, d) => a.or(d),
+                        };
+                        b.members.end += 1;
+                    }
+                    _ => {
+                        self.bundles.extend(open.take().map(|(b, _)| b));
+                        let at = self.member_ids.len();
+                        let bundle = Bundle {
+                            class_idx,
+                            id: req.id,
+                            arrival: req.arrival,
+                            deadline: req.deadline,
+                            members: at..at + 1,
+                        };
+                        open = Some((bundle, req.arrival));
+                    }
+                }
+                self.member_ids.push(req.id);
             }
-            group.push(req);
+            self.bundles.extend(open.map(|(b, _)| b));
         }
-        if !group.is_empty() {
-            bundles.push(seal(&group, class_idx));
-        }
+        // Ids are unique, so the unstable sort is deterministic.
+        self.bundles.sort_unstable_by_key(|b| (b.arrival, b.id));
     }
-    // Oldest bundle first, so the policy's service order sees the queue in
-    // arrival order across classes.
-    bundles.sort_by_key(|b| (b.job.arrival, b.job.id));
-    bundles
-}
 
-/// Seals a non-empty group of same-class requests into a bundle.
-fn seal(group: &[&PendingRequest], class_idx: usize) -> Bundle {
-    let first = group.first().expect("seal is called on non-empty groups");
-    let mut job = first.job.clone();
-    let n = group.len() as f64;
-    for phase in &mut job.phases {
-        phase.work_lines *= n;
+    /// The bundles, oldest first.
+    pub fn iter(&self) -> std::slice::Iter<'_, Bundle> {
+        self.bundles.iter()
     }
-    // The bundle inherits the most urgent member's deadline and the latest
-    // member's arrival (it cannot start before everyone it carries exists).
-    job.deadline = group.iter().filter_map(|r| r.job.deadline).min();
-    job.arrival = group
-        .iter()
-        .map(|r| r.job.arrival)
-        .max()
-        .unwrap_or(first.job.arrival);
-    Bundle {
-        job,
-        members: group.iter().map(|r| r.id).collect(),
-        class_idx,
+
+    /// Member request ids of `bundle`, in arrival order.
+    pub fn members(&self, bundle: &Bundle) -> &[usize] {
+        &self.member_ids[bundle.members.clone()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::contended_classes;
+    use crate::request::{contended_classes, RequestClass};
 
     fn pend(classes: &[RequestClass], id: usize, class_idx: usize, arrival: u64) -> PendingRequest {
+        let job = classes[class_idx].request(id, arrival);
         PendingRequest {
             id,
             class_idx,
-            job: classes[class_idx].request(id, arrival),
+            arrival: job.arrival,
+            deadline: job.deadline,
         }
+    }
+
+    /// The bundles `pending` forms, oldest first, as (bundle, member ids).
+    fn form_bundles(
+        pending: &[PendingRequest],
+        classes: &[RequestClass],
+        cfg: &BatchConfig,
+    ) -> Vec<(Bundle, Vec<usize>)> {
+        let mut bundles = Bundles::default();
+        bundles.form(pending, classes.len(), cfg);
+        bundles
+            .iter()
+            .map(|b| (b.clone(), bundles.members(b).to_vec()))
+            .collect()
     }
 
     #[test]
@@ -137,12 +178,10 @@ mod tests {
         };
         let bundles = form_bundles(&pending, &classes, &cfg);
         assert_eq!(bundles.len(), 2);
-        assert_eq!(bundles[0].members, vec![0, 1, 2, 3]);
-        assert_eq!(bundles[1].members, vec![4]);
-        // Traffic sums: 4 members carry 4x the single-request lines.
-        let single = classes[1].template.total_lines();
-        assert!((bundles[0].job.total_lines() - 4.0 * single).abs() < 1e-6);
-        assert!((bundles[1].job.total_lines() - single).abs() < 1e-6);
+        assert_eq!(bundles[0].1, vec![0, 1, 2, 3]);
+        assert_eq!(bundles[1].1, vec![4]);
+        // Traffic sums: the bundle's work scale is its member count.
+        assert_eq!((bundles[0].0.size(), bundles[1].0.size()), (4, 1));
     }
 
     #[test]
@@ -159,8 +198,8 @@ mod tests {
         };
         let bundles = form_bundles(&pending, &classes, &cfg);
         assert_eq!(bundles.len(), 2);
-        assert_eq!(bundles[0].members, vec![0, 1]);
-        assert_eq!(bundles[1].members, vec![2]);
+        assert_eq!(bundles[0].1, vec![0, 1]);
+        assert_eq!(bundles[1].1, vec![2]);
     }
 
     #[test]
@@ -170,11 +209,11 @@ mod tests {
         let cfg = BatchConfig::default();
         let bundles = form_bundles(&pending, &classes, &cfg);
         assert_eq!(bundles.len(), 1);
-        let b = &bundles[0];
-        assert_eq!(b.job.arrival, 300);
+        let b = &bundles[0].0;
+        assert_eq!(b.arrival, 300);
         let rel = classes[2].relative_deadline.unwrap();
-        assert_eq!(b.job.deadline, Some(100 + rel));
-        assert_eq!(b.job.id, 0);
+        assert_eq!(b.deadline, Some(100 + rel));
+        assert_eq!(b.id, 0);
     }
 
     #[test]
@@ -187,8 +226,8 @@ mod tests {
         ];
         let bundles = form_bundles(&pending, &classes, &BatchConfig::default());
         assert_eq!(bundles.len(), 2);
-        assert_eq!(bundles[0].class_idx, 1); // arrival 0 first
-        assert_eq!(bundles[1].members, vec![0, 2]);
+        assert_eq!(bundles[0].0.class_idx, 1); // arrival 0 first
+        assert_eq!(bundles[1].1, vec![0, 2]);
     }
 
     #[test]
@@ -201,6 +240,6 @@ mod tests {
         };
         let bundles = form_bundles(&pending, &classes, &cfg);
         assert_eq!(bundles.len(), 3);
-        assert!(bundles.iter().all(|b| b.members.len() == 1));
+        assert!(bundles.iter().all(|(b, _)| b.size() == 1));
     }
 }

@@ -10,12 +10,12 @@
 //! controller applies) and counts a recalibration.
 //!
 //! The monitor is a *windowed view over the prediction-audit ledger*
-//! (`pccs_telemetry::audit`): the serving engine resolves each completed
-//! bundle into one [`AuditRecord`] and feeds it through
-//! [`DriftMonitor::observe_audited`], which writes the pair to the
-//! process-global ledger and folds it into the sliding window in one
-//! step. What the offline scorecards slice after a run is exactly the
-//! stream the monitor reacted to online.
+//! (`pccs_telemetry::audit`): the serving engine feeds each completed
+//! bundle's (predicted, observed) pair through
+//! [`DriftMonitor::observe_audited`], which folds it into the sliding
+//! window and, when the ledger is on, writes it there as one
+//! [`AuditRecord`] in the same step. What the offline scorecards slice
+//! after a run is exactly the stream the monitor reacted to online.
 //!
 //! [`AuditRecord`]: pccs_telemetry::audit::AuditRecord
 
@@ -88,14 +88,22 @@ impl DriftMonitor {
         Some(refreshed)
     }
 
-    /// Feeds one resolved prediction as an audit record: the record is
-    /// written to the process-global ledger (when auditing is enabled)
-    /// and its (predicted, achieved) pair drives the drift window exactly
-    /// like [`DriftMonitor::observe`].
-    pub fn observe_audited(&mut self, pu_idx: usize, rec: AuditRecord) -> Option<f64> {
-        let (predicted, achieved) = (rec.predicted, rec.achieved);
-        audit::record(rec);
-        self.observe(pu_idx, predicted, achieved)
+    /// Feeds one resolved prediction: when auditing is enabled, `record`
+    /// builds its audit record (with the same pair and its provenance),
+    /// which is written to the process-global ledger; either way the pair
+    /// drives the drift window exactly like [`DriftMonitor::observe`].
+    /// The record is never built while the ledger is off.
+    pub fn observe_audited(
+        &mut self,
+        pu_idx: usize,
+        predicted: f64,
+        observed: f64,
+        record: impl FnOnce() -> AuditRecord,
+    ) -> Option<f64> {
+        if audit::is_enabled() {
+            audit::record(record());
+        }
+        self.observe(pu_idx, predicted, observed)
     }
 
     /// The correction currently in force for PU `pu_idx`.
@@ -214,12 +222,11 @@ mod tests {
     fn audited_observations_land_in_the_ledger() {
         let mut mon = DriftMonitor::new(1, 1, 0.25);
         audit::set_enabled(true);
-        let refreshed = mon.observe_audited(
-            0,
+        let refreshed = mon.observe_audited(0, 1_000.0, 2_000.0, || {
             AuditRecord::new("serve", "cycles", 1_000.0, 2_000.0)
                 .with_soc("xavier")
-                .with_workload("drift-unit-test"),
-        );
+                .with_workload("drift-unit-test")
+        });
         audit::set_enabled(false);
         assert!((refreshed.expect("2x drift on a window of one") - 2.0).abs() < 1e-9);
         let recs: Vec<_> = audit::snapshot()
