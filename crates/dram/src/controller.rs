@@ -24,14 +24,13 @@
 use crate::bank::Bank;
 use crate::config::DramConfig;
 use crate::conformance::{CmdKind, CommandRecord, ConformanceChecker, ConformanceReport};
-use crate::mapping::AddressMapping;
+use crate::mapping::{AddressDecoder, AddressMapping};
 use crate::policy::{RankKey, SchedulingPolicy};
 use crate::request::{DecodedAddr, MemoryRequest, ReqKind, SourceId};
-use crate::stats::MemoryStats;
+use crate::stats::{MemoryStats, SchedulerStats, SourceTable};
 use crate::timing::{DramTiming, RowOutcome};
 use pccs_telemetry::{EpochRecorder, RowEvent, StallEvent, TelemetryReport};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Maximum row-hit streak an open row may serve while shielded from
 /// closure by pending hits (starvation control for conflicting requests).
@@ -47,6 +46,42 @@ pub struct Completion {
     pub source: SourceId,
     /// The cycle at which the last data beat transferred.
     pub finish: u64,
+}
+
+/// Issued requests waiting for their last data beat, kept sorted by
+/// `(finish, request id, source)`: the order completions are delivered in
+/// (ids alone collide across sources). Requests issue roughly in finish
+/// order, so an insert from the back passes only the few entries that
+/// finish later, and the due ones leave from the front.
+#[derive(Debug, Default)]
+struct CompletionQueue(VecDeque<(u64, u64, usize)>);
+
+impl CompletionQueue {
+    /// Inserts `entry` behind every entry that is not larger: appends it,
+    /// then moves each larger entry one place back, as one step of an
+    /// insertion sort. `make_contiguous` moves entries only when the ring
+    /// has wrapped.
+    #[inline]
+    fn push(&mut self, entry: (u64, u64, usize)) {
+        self.0.push_back(entry);
+        let sorted = self.0.make_contiguous();
+        let mut at = sorted.len() - 1;
+        while at > 0 && sorted[at - 1] > entry {
+            sorted[at] = sorted[at - 1];
+            at -= 1;
+        }
+        sorted[at] = entry;
+    }
+
+    /// Removes and returns the smallest entry if it finishes at or before
+    /// `cycle`.
+    #[inline]
+    fn pop_due(&mut self, cycle: u64) -> Option<(u64, u64, usize)> {
+        match self.0.front() {
+            Some(&(finish, _, _)) if finish <= cycle => self.0.pop_front(),
+            _ => None,
+        }
+    }
 }
 
 /// An in-flight request plus its decoded DRAM coordinates. Stored in the
@@ -192,7 +227,14 @@ fn act_is_legal(acts: &[(u64, usize)], act_at: u64, group: usize, timing: &DramT
 #[derive(Debug)]
 pub struct MemoryController {
     config: DramConfig,
-    mapping: AddressMapping,
+    decoder: AddressDecoder,
+    /// Cycles of data-bus occupancy per line (`DramConfig::burst_cycles`).
+    burst: u64,
+    /// Bank group of each bank (`DramConfig::bank_group`).
+    bank_groups: Vec<usize>,
+    /// Whether the policy shields open rows
+    /// (`SchedulingPolicy::respects_open_rows`, read once).
+    shield_rows: bool,
     policy: Box<dyn SchedulingPolicy>,
     channels: Vec<ChannelState>,
     /// Slab of in-flight queued requests; channel queues index into it, so
@@ -207,10 +249,14 @@ pub struct MemoryController {
     /// `SourceId.0`; filled for `issuable_sources` only, and emptied again
     /// after each pick.
     best_of_source: Vec<Option<RankKey>>,
-    stats: MemoryStats,
+    /// Per-source statistics (`MemoryStats::per_source`).
+    sources: SourceTable,
+    /// Cycles simulated (`MemoryStats::elapsed_cycles`).
+    elapsed_cycles: u64,
+    scheduler: SchedulerStats,
     /// Queued requests per source, indexed by `SourceId.0`.
     pending_per_source: Vec<usize>,
-    completions: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    completions: CompletionQueue,
     /// Optional epoch telemetry; `None` costs one branch per hook site.
     recorder: Option<EpochRecorder>,
     /// Optional protocol conformance observer; `None` costs one branch per
@@ -249,17 +295,24 @@ impl MemoryController {
         );
         let slab_capacity = config.queue_capacity * config.channels;
         Self {
+            decoder: AddressMapping::default().decoder(&config),
+            burst: config.burst_cycles(),
+            bank_groups: (0..config.banks_per_channel)
+                .map(|b| config.bank_group(b))
+                .collect(),
+            shield_rows: policy.respects_open_rows(),
             config,
-            mapping: AddressMapping::default(),
             policy,
             channels,
             slab: Vec::with_capacity(slab_capacity),
             free_slots: Vec::new(),
             issuable_sources: Vec::new(),
             best_of_source: Vec::new(),
-            stats: MemoryStats::new(),
+            sources: SourceTable::default(),
+            elapsed_cycles: 0,
+            scheduler: SchedulerStats::default(),
             pending_per_source: Vec::new(),
-            completions: BinaryHeap::new(),
+            completions: CompletionQueue::default(),
             recorder: None,
             conformance: None,
         }
@@ -304,14 +357,22 @@ impl MemoryController {
         self.policy.name()
     }
 
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> &MemoryStats {
-        &self.stats
+    /// A copy of the statistics accumulated so far.
+    pub fn stats(&self) -> MemoryStats {
+        MemoryStats {
+            per_source: self.sources.clone().into_map(),
+            elapsed_cycles: self.elapsed_cycles,
+            scheduler: self.scheduler.clone(),
+        }
     }
 
     /// Consumes the controller, returning its accumulated statistics.
     pub fn into_stats(self) -> MemoryStats {
-        self.stats
+        MemoryStats {
+            per_source: self.sources.into_map(),
+            elapsed_cycles: self.elapsed_cycles,
+            scheduler: self.scheduler,
+        }
     }
 
     /// Number of queued (unissued) requests across all channels.
@@ -332,13 +393,14 @@ impl MemoryController {
     /// Returns `Err(req)` when the channel queue has no room; the caller
     /// should retry on a later cycle.
     pub fn try_enqueue(&mut self, req: MemoryRequest) -> Result<(), MemoryRequest> {
-        let decoded = self.mapping.decode(req.addr, &self.config);
+        let decoded = self.decoder.decode(req.addr);
         let channel = &mut self.channels[decoded.channel];
+        let source = self.sources.source_mut(req.source);
         if channel.queue.len() >= self.config.queue_capacity {
-            self.stats.source_mut(req.source).rejected += 1;
+            source.rejected += 1;
             return Err(req);
         }
-        self.stats.source_mut(req.source).enqueued += 1;
+        source.enqueued += 1;
         *req.source.slot(&mut self.pending_per_source, 0) += 1;
         self.policy.on_enqueue(req.source);
         let bank = &mut channel.bank_queues[decoded.bank];
@@ -369,8 +431,8 @@ impl MemoryController {
         }
         channel.occupied |= 1u128 << decoded.bank;
         let depth = channel.queue.len() as u64;
-        if depth > self.stats.scheduler.queue_hwm {
-            self.stats.scheduler.queue_hwm = depth;
+        if depth > self.scheduler.queue_hwm {
+            self.scheduler.queue_hwm = depth;
         }
         Ok(())
     }
@@ -382,7 +444,7 @@ impl MemoryController {
     /// so callers can reuse one allocation across the whole run).
     pub fn tick_into(&mut self, cycle: u64, out: &mut Vec<Completion>) {
         self.policy.on_cycle(cycle);
-        self.stats.elapsed_cycles = self.stats.elapsed_cycles.max(cycle + 1);
+        self.elapsed_cycles = self.elapsed_cycles.max(cycle + 1);
         if self.recorder.is_some() {
             let depth = self.pending();
             if let Some(r) = self.recorder.as_mut() {
@@ -394,11 +456,7 @@ impl MemoryController {
             self.schedule_channel(ch_idx, cycle);
         }
 
-        while let Some(&Reverse((finish, id, source))) = self.completions.peek() {
-            if finish > cycle {
-                break;
-            }
-            self.completions.pop();
+        while let Some((finish, id, source)) = self.completions.pop_due(cycle) {
             out.push(Completion {
                 request_id: id,
                 source: SourceId(source),
@@ -425,7 +483,7 @@ impl MemoryController {
         // precharge+activate costs an order of magnitude more. A per-row
         // hit budget bounds the shielding so conflicting requests cannot
         // starve (row-hit streak cap, as in real MCs).
-        let shield_rows = self.policy.respects_open_rows();
+        let shield_rows = self.shield_rows;
         let mut occupied = channel.occupied;
         while occupied != 0 {
             let b = occupied.trailing_zeros() as usize;
@@ -447,7 +505,7 @@ impl MemoryController {
                 && act_is_legal(
                     &channel.acts,
                     bank.next_act_at(cycle, timing),
-                    self.config.bank_group(b),
+                    self.bank_groups[b],
                     timing,
                 );
             if hits == 0 && !misses_ok {
@@ -548,7 +606,7 @@ impl MemoryController {
         // throughput at exactly the bus rate while letting transfers from
         // different banks complete out of order (a row conflict delays only
         // its own bank, not the channel pipeline).
-        let burst = self.config.burst_cycles();
+        let burst = self.burst;
         // All-bank refresh: blocks every bank of the channel for tRFC. A
         // uniform tax on all sources (it cannot change *relative* speeds),
         // but it keeps effective bandwidth honest. The sequence is
@@ -601,14 +659,14 @@ impl MemoryController {
         {
             let channel = &self.channels[ch_idx];
             if channel.queue.is_empty() {
-                self.stats.scheduler.idle += 1;
+                self.scheduler.idle += 1;
                 if let Some(r) = self.recorder.as_mut() {
                     r.on_stall(cycle, StallEvent::Idle);
                 }
                 return;
             }
             if cycle < channel.next_issue_at {
-                self.stats.scheduler.bus_blocked += 1;
+                self.scheduler.bus_blocked += 1;
                 if let Some(r) = self.recorder.as_mut() {
                     r.on_stall(cycle, StallEvent::BusBlocked);
                 }
@@ -620,7 +678,7 @@ impl MemoryController {
         #[cfg(test)]
         reference::check(self, ch_idx, cycle, picked);
         let Some(queue_idx) = picked else {
-            self.stats.scheduler.no_candidate += 1;
+            self.scheduler.no_candidate += 1;
             if let Some(r) = self.recorder.as_mut() {
                 r.on_stall(cycle, StallEvent::NoCandidate);
             }
@@ -649,7 +707,7 @@ impl MemoryController {
             channel.acts.retain(|&(a, _)| a + horizon > cycle);
             channel
                 .acts
-                .push((act_at, self.config.bank_group(q.decoded.bank)));
+                .push((act_at, self.bank_groups[q.decoded.bank]));
         }
         if let Some(c) = self.conformance.as_mut() {
             if let Some(pre_at) = issue.pre_at {
@@ -688,9 +746,12 @@ impl MemoryController {
         }
         self.policy.on_served(q.req.source, u64::from(q.req.bytes));
         let latency = finish.saturating_sub(q.req.arrival);
-        self.stats
-            .record_served(q.req.source, u64::from(q.req.bytes), issue.outcome, latency);
-        self.stats.scheduler.issued += 1;
+        self.sources.source_mut(q.req.source).record_served(
+            u64::from(q.req.bytes),
+            issue.outcome,
+            latency,
+        );
+        self.scheduler.issued += 1;
         if let Some(r) = self.recorder.as_mut() {
             r.on_stall(cycle, StallEvent::Issued);
             let row = match issue.outcome {
@@ -700,8 +761,7 @@ impl MemoryController {
             };
             r.on_serve(cycle, q.req.source.0, u64::from(q.req.bytes), row);
         }
-        self.completions
-            .push(Reverse((finish, q.req.id, q.req.source.0)));
+        self.completions.push((finish, q.req.id, q.req.source.0));
     }
 }
 
@@ -1034,6 +1094,35 @@ mod tests {
     }
 
     #[test]
+    fn simultaneous_completions_arrive_by_id_then_source() {
+        let mut mc = controller(PolicyKind::FrFcfs);
+        // Line i maps to channel i: one row miss per channel, all issued in
+        // cycle 0, all finishing together. Ids collide across sources, and
+        // the channel order is not the delivery order.
+        let issued = [(7, 0), (5, 2), (5, 1), (9, 0)];
+        for (line, &(id, source)) in issued.iter().enumerate() {
+            let req = MemoryRequest::read(id, SourceId(source), line as u64 * 64, 0);
+            mc.try_enqueue(req).unwrap();
+        }
+        let done = run_until_complete(&mut mc, issued.len(), 1_000);
+        let t = &mc.config().timing;
+        let finish = t.t_rcd + t.t_cl + mc.config().burst_cycles();
+        let order: Vec<_> = done
+            .iter()
+            .map(|c| (c.finish, c.request_id, c.source.0))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (finish, 5, 1),
+                (finish, 5, 2),
+                (finish, 7, 0),
+                (finish, 9, 0)
+            ]
+        );
+    }
+
+    #[test]
     fn pending_per_source_tracks_queue() {
         let mut mc = controller(PolicyKind::Fcfs);
         mc.try_enqueue(MemoryRequest::read(0, SourceId(3), 0, 0))
@@ -1109,7 +1198,7 @@ mod tests {
         let bank_raw = (bank as u64 ^ row) % banks;
         let blk = (row * banks + bank_raw) * config.columns_per_row() + column;
         let addr = blk * channels * u64::from(config.line_bytes);
-        let d = mc.mapping.decode(addr, config);
+        let d = mc.decoder.decode(addr);
         assert_eq!((d.channel, d.bank, d.row), (0, bank, row));
         addr
     }
@@ -1372,6 +1461,53 @@ mod tests {
             }
             let sched = &mc.stats().scheduler;
             prop_assert!(sched.issued > 0 && sched.no_candidate > 0, "{sched:?}");
+        }
+
+        /// The sorted completion queue delivers what a binary heap of the
+        /// same `(finish, id, source)` entries pops, in the same order:
+        /// random pushes (mostly just ahead of the cycle, sometimes far
+        /// ahead; ids colliding across sources) between drains of every due
+        /// entry as the cycle advances.
+        #[test]
+        fn completion_queue_delivers_like_a_binary_heap(
+            steps in 1usize..600,
+            spread in 1u64..200,
+            seed in any::<u64>(),
+        ) {
+            use std::cmp::Reverse;
+            use std::collections::BinaryHeap;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut queue = CompletionQueue::default();
+            let mut heap = BinaryHeap::new();
+            let mut cycle = 0u64;
+            for _ in 0..steps {
+                for _ in 0..rng.gen_range(0..4) {
+                    let ahead = if rng.gen_bool(0.9) {
+                        rng.gen_range(0..spread)
+                    } else {
+                        rng.gen_range(0..20 * spread)
+                    };
+                    let entry = (
+                        cycle + ahead,
+                        rng.gen_range(0..16u64),
+                        rng.gen_range(0..4usize),
+                    );
+                    queue.push(entry);
+                    heap.push(Reverse(entry));
+                }
+                cycle += rng.gen_range(0..3u64);
+                let mut expected = Vec::new();
+                while let Some(&Reverse(entry)) = heap.peek() {
+                    if entry.0 > cycle {
+                        break;
+                    }
+                    heap.pop();
+                    expected.push(entry);
+                }
+                let delivered: Vec<_> = std::iter::from_fn(|| queue.pop_due(cycle)).collect();
+                prop_assert_eq!(delivered, expected);
+            }
+            prop_assert_eq!(queue.0.len(), heap.len());
         }
     }
 }

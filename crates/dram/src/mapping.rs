@@ -28,25 +28,77 @@ impl AddressMapping {
     /// Decodes a physical byte address into channel/bank/row/column
     /// coordinates for the given geometry.
     pub fn decode(&self, addr: u64, config: &DramConfig) -> DecodedAddr {
-        let line = addr / u64::from(config.line_bytes);
-        let channels = config.channels as u64;
-        let banks = config.banks_per_channel as u64;
-        let cols = config.columns_per_row();
+        self.decoder(config).decode(addr)
+    }
 
-        let channel = (line % channels) as usize;
-        let blk = line / channels;
-        let column = blk % cols;
-        let bank_raw = (blk / cols) % banks;
-        let row = blk / (cols * banks);
+    /// This mapping over `config`'s geometry with its divisors prepared
+    /// once, for a caller that decodes every request.
+    pub(crate) fn decoder(&self, config: &DramConfig) -> AddressDecoder {
+        AddressDecoder {
+            mapping: *self,
+            line: Divisor::new(u64::from(config.line_bytes)),
+            channels: Divisor::new(config.channels as u64),
+            columns: Divisor::new(config.columns_per_row()),
+            banks: Divisor::new(config.banks_per_channel as u64),
+        }
+    }
+}
 
-        let bank = match self {
-            AddressMapping::ChannelInterleaveXorBank => ((bank_raw ^ row) % banks) as usize,
-            AddressMapping::ChannelInterleavePlain => bank_raw as usize,
+/// A divisor fixed for a decoder's lifetime: a shift and a mask when it is
+/// a power of two (every preset geometry), a division otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        Self {
+            d,
+            shift: d.is_power_of_two().then(|| d.trailing_zeros()),
+        }
+    }
+
+    /// `(x / d, x % d)`.
+    #[inline]
+    fn div_rem(self, x: u64) -> (u64, u64) {
+        match self.shift {
+            Some(shift) => (x >> shift, x & (self.d - 1)),
+            None => (x / self.d, x % self.d),
+        }
+    }
+}
+
+/// An [`AddressMapping`] bound to one geometry. The controller decodes
+/// every enqueued request through one, so a power-of-two geometry costs
+/// shifts and masks instead of five 64-bit divisions.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AddressDecoder {
+    mapping: AddressMapping,
+    line: Divisor,
+    channels: Divisor,
+    columns: Divisor,
+    banks: Divisor,
+}
+
+impl AddressDecoder {
+    /// Decodes a physical byte address, exactly as
+    /// [`AddressMapping::decode`] over the same geometry.
+    #[inline]
+    pub(crate) fn decode(&self, addr: u64) -> DecodedAddr {
+        let (line, _) = self.line.div_rem(addr);
+        let (blk, channel) = self.channels.div_rem(line);
+        let (bank_row, column) = self.columns.div_rem(blk);
+        // blk / (columns × banks) is (blk / columns) / banks.
+        let (row, bank_raw) = self.banks.div_rem(bank_row);
+        let bank = match self.mapping {
+            AddressMapping::ChannelInterleaveXorBank => self.banks.div_rem(bank_raw ^ row).1,
+            AddressMapping::ChannelInterleavePlain => bank_raw,
         };
-
         DecodedAddr {
-            channel,
-            bank,
+            channel: channel as usize,
+            bank: bank as usize,
             row,
             column,
         }
@@ -56,6 +108,7 @@ impl AddressMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> DramConfig {
         DramConfig::cmp_study()
@@ -131,5 +184,66 @@ mod tests {
             .collect();
         assert!(plain_banks.iter().all(|&b| b == plain_banks[0]));
         assert!(xor_banks.iter().any(|&b| b != xor_banks[0]));
+    }
+
+    /// The decode formula as first written, with five divisions, kept as
+    /// the reference the prepared decoder must match.
+    fn divided(mapping: AddressMapping, addr: u64, config: &DramConfig) -> DecodedAddr {
+        let line = addr / u64::from(config.line_bytes);
+        let channels = config.channels as u64;
+        let banks = config.banks_per_channel as u64;
+        let cols = config.columns_per_row();
+        let blk = line / channels;
+        let bank_raw = (blk / cols) % banks;
+        let row = blk / (cols * banks);
+        let bank = match mapping {
+            AddressMapping::ChannelInterleaveXorBank => (bank_raw ^ row) % banks,
+            AddressMapping::ChannelInterleavePlain => bank_raw,
+        };
+        DecodedAddr {
+            channel: (line % channels) as usize,
+            bank: bank as usize,
+            row,
+            column: blk % cols,
+        }
+    }
+
+    /// Every preset, plus a geometry whose channel, bank and column
+    /// counts are not powers of two.
+    fn geometries() -> Vec<DramConfig> {
+        let mut odd = DramConfig::xavier();
+        odd.channels = 6;
+        odd.banks_per_channel = 12;
+        odd.row_bytes = 1536;
+        vec![
+            DramConfig::cmp_study(),
+            DramConfig::xavier(),
+            DramConfig::snapdragon855(),
+            odd,
+        ]
+    }
+
+    proptest! {
+        /// The prepared decoder (shifts and masks on a power-of-two
+        /// geometry) decodes every address like the division formula.
+        #[test]
+        fn prepared_decode_matches_the_division_formula(
+            addr in any::<u64>(),
+            low in 0u64..(1 << 34),
+        ) {
+            for config in geometries() {
+                for mapping in [
+                    AddressMapping::ChannelInterleaveXorBank,
+                    AddressMapping::ChannelInterleavePlain,
+                ] {
+                    for a in [addr, low] {
+                        prop_assert_eq!(
+                            mapping.decode(a, &config),
+                            divided(mapping, a, &config)
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -66,6 +66,47 @@ impl SourceStats {
     pub fn try_latency_percentile(&self, p: f64) -> Option<u64> {
         self.latency.try_percentile(p)
     }
+
+    /// Records a served request.
+    #[inline]
+    pub(crate) fn record_served(&mut self, bytes: u64, outcome: RowOutcome, latency: u64) {
+        self.served += 1;
+        self.bytes += bytes;
+        match outcome {
+            RowOutcome::Hit => self.row_hits += 1,
+            RowOutcome::Miss => self.row_misses += 1,
+            RowOutcome::Conflict => self.row_conflicts += 1,
+        }
+        self.total_latency += latency;
+        self.max_latency = self.max_latency.max(latency);
+        self.latency.record(latency);
+    }
+}
+
+/// Per-source statistics in a dense table indexed by `SourceId.0`: the
+/// controller's working form of [`MemoryStats::per_source`], so counting a
+/// request costs an index, not an ordered-map walk. A source has an entry
+/// from its first enqueue attempt on, exactly as in the map.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SourceTable(Vec<Option<SourceStats>>);
+
+impl SourceTable {
+    /// Mutable access to (and creation of) one source's statistics.
+    #[inline]
+    pub(crate) fn source_mut(&mut self, source: SourceId) -> &mut SourceStats {
+        source
+            .slot(&mut self.0, None)
+            .get_or_insert_with(SourceStats::default)
+    }
+
+    /// The table as the ordered map readers see.
+    pub(crate) fn into_map(self) -> BTreeMap<SourceId, SourceStats> {
+        self.0
+            .into_iter()
+            .enumerate()
+            .filter_map(|(id, s)| s.map(|s| (SourceId(id), s)))
+            .collect()
+    }
 }
 
 /// Statistics for an entire simulation run.
@@ -105,27 +146,6 @@ impl MemoryStats {
     /// Mutable access to (and creation of) one source's statistics.
     pub fn source_mut(&mut self, source: SourceId) -> &mut SourceStats {
         self.per_source.entry(source).or_default()
-    }
-
-    /// Records a served request.
-    pub fn record_served(
-        &mut self,
-        source: SourceId,
-        bytes: u64,
-        outcome: RowOutcome,
-        latency: u64,
-    ) {
-        let s = self.source_mut(source);
-        s.served += 1;
-        s.bytes += bytes;
-        match outcome {
-            RowOutcome::Hit => s.row_hits += 1,
-            RowOutcome::Miss => s.row_misses += 1,
-            RowOutcome::Conflict => s.row_conflicts += 1,
-        }
-        s.total_latency += latency;
-        s.max_latency = s.max_latency.max(latency);
-        s.latency.record(latency);
     }
 
     /// Adds another controller's statistics (multi-controller systems):
@@ -229,9 +249,12 @@ mod tests {
     #[test]
     fn record_served_accumulates() {
         let mut m = MemoryStats::new();
-        m.record_served(SourceId(0), 64, RowOutcome::Hit, 30);
-        m.record_served(SourceId(0), 64, RowOutcome::Conflict, 90);
-        m.record_served(SourceId(1), 64, RowOutcome::Miss, 44);
+        m.source_mut(SourceId(0))
+            .record_served(64, RowOutcome::Hit, 30);
+        m.source_mut(SourceId(0))
+            .record_served(64, RowOutcome::Conflict, 90);
+        m.source_mut(SourceId(1))
+            .record_served(64, RowOutcome::Miss, 44);
         let s0 = &m.per_source[&SourceId(0)];
         assert_eq!(s0.served, 2);
         assert_eq!(s0.bytes, 128);
@@ -247,7 +270,8 @@ mod tests {
     fn latency_histogram_tracks_served_requests() {
         let mut m = MemoryStats::new();
         for latency in [10u64, 20, 30, 40, 400] {
-            m.record_served(SourceId(0), 64, RowOutcome::Hit, latency);
+            m.source_mut(SourceId(0))
+                .record_served(64, RowOutcome::Hit, latency);
         }
         let s = &m.per_source[&SourceId(0)];
         assert_eq!(s.latency.count(), s.served);
@@ -261,8 +285,10 @@ mod tests {
     #[test]
     fn hit_rate_aggregates_over_sources() {
         let mut m = MemoryStats::new();
-        m.record_served(SourceId(0), 64, RowOutcome::Hit, 1);
-        m.record_served(SourceId(1), 64, RowOutcome::Miss, 1);
+        m.source_mut(SourceId(0))
+            .record_served(64, RowOutcome::Hit, 1);
+        m.source_mut(SourceId(1))
+            .record_served(64, RowOutcome::Miss, 1);
         assert!((m.row_hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -282,8 +308,10 @@ mod tests {
         use pccs_telemetry::metrics;
         let mut m = MemoryStats::new();
         m.elapsed_cycles = 500;
-        m.record_served(SourceId(0), 64, RowOutcome::Hit, 30);
-        m.record_served(SourceId(1), 64, RowOutcome::Conflict, 90);
+        m.source_mut(SourceId(0))
+            .record_served(64, RowOutcome::Hit, 30);
+        m.source_mut(SourceId(1))
+            .record_served(64, RowOutcome::Conflict, 90);
         m.source_mut(SourceId(0)).enqueued = 3;
         m.scheduler.issued = 2;
         m.scheduler.queue_hwm = 7;
@@ -303,7 +331,8 @@ mod tests {
     fn try_percentile_distinguishes_empty_sources() {
         let mut m = MemoryStats::new();
         assert_eq!(m.source_mut(SourceId(0)).try_latency_percentile(99.0), None);
-        m.record_served(SourceId(0), 64, RowOutcome::Hit, 12_345);
+        m.source_mut(SourceId(0))
+            .record_served(64, RowOutcome::Hit, 12_345);
         let s = &m.per_source[&SourceId(0)];
         assert_eq!(s.try_latency_percentile(50.0), Some(12_345));
         assert_eq!(s.latency_percentile(50.0), 12_345);

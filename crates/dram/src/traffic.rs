@@ -138,10 +138,10 @@ pub struct StreamTraffic {
     write_fraction: f64,
     window: usize,
     region_bytes: u64,
-    #[allow(dead_code)]
-    seed: u64,
 
     rate_bytes_per_cycle: f64,
+    /// Most credit a stream may bank: 64 cycles of its rate plus a line.
+    credit_cap: f64,
     line_bytes: u64,
     credit: f64,
     last_cycle: Option<u64>,
@@ -245,8 +245,8 @@ impl StreamTrafficBuilder {
             write_fraction: self.write_fraction,
             window: self.window,
             region_bytes: self.region_bytes,
-            seed: self.seed,
             rate_bytes_per_cycle: 0.0,
+            credit_cap: 0.0,
             line_bytes: 64,
             credit: 0.0,
             last_cycle: None,
@@ -270,6 +270,7 @@ impl TrafficSource for StreamTraffic {
     fn bind(&mut self, config: &DramConfig) {
         self.rate_bytes_per_cycle = config.gbps_to_bytes_per_cycle(self.demand_gbps);
         self.line_bytes = u64::from(config.line_bytes);
+        self.credit_cap = self.rate_bytes_per_cycle * 64.0 + self.line_bytes as f64;
         // Give each source a disjoint region so sources never share rows.
         let region_base = self.source.0 as u64 * self.region_bytes;
         self.walker = Some(AddressWalker::new(
@@ -281,13 +282,12 @@ impl TrafficSource for StreamTraffic {
     }
 
     fn poll(&mut self, cycle: u64) -> Option<MemoryRequest> {
-        if let Some(req) = self.retry.take() {
-            return Some(req);
+        if self.retry.is_some() {
+            return self.retry.take();
         }
         if self.last_cycle != Some(cycle) {
             self.last_cycle = Some(cycle);
-            self.credit = (self.credit + self.rate_bytes_per_cycle)
-                .min(self.rate_bytes_per_cycle * 64.0 + self.line_bytes as f64);
+            self.credit = (self.credit + self.rate_bytes_per_cycle).min(self.credit_cap);
         }
         if self.credit < self.line_bytes as f64 || self.outstanding >= self.window {
             return None;

@@ -173,8 +173,8 @@ impl TrafficSource for PuExecutor {
             self.last_cycle = Some(cycle);
             self.advance_compute(cycle);
         }
-        if let Some(req) = self.retry.take() {
-            return Some(req);
+        if self.retry.is_some() {
+            return self.retry.take();
         }
         if self.outstanding >= self.window {
             return None;

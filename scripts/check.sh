@@ -140,8 +140,11 @@ step test   cargo test --release --workspace
 # The MC pick oracle at depth: every scheduling decision of the controller
 # tests is checked against the full-queue rescan and candidate-list pick
 # (`controller::reference`), here over 512 random property cases instead
-# of the default 64.
-step mc-oracle env PROPTEST_CASES=512 cargo test --release -p pccs-dram --lib controller
+# of the default 64. The same depth covers the controller's other exact
+# replacements: the sorted completion queue against a binary heap, and
+# the prepared address decoder against the division formula.
+step mc-oracle env PROPTEST_CASES=512 cargo test --release -p pccs-dram --lib -- \
+  controller mapping::tests::prepared_decode
 
 if ((${#failed[@]})); then
   echo "FAILED: ${failed[*]}" >&2
